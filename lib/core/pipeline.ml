@@ -67,7 +67,7 @@ let promoted_sites cfg stats hot_set =
            else None
          end)
 
-let plan_with_stats ?(config = default_config) ~variant stats trace =
+let plan_with_stats ?(config = default_config) ?ohds ~variant stats trace =
   Span.with_ ~cat:"pipeline"
     ~args:[ ("variant", Plan.variant_name variant) ]
     "pipeline"
@@ -82,10 +82,14 @@ let plan_with_stats ?(config = default_config) ~variant stats trace =
           hot_infos;
         (hot_infos, hot_set))
   in
-  (* HDS detection + reconstitution. *)
+  (* HDS detection (unless the caller already ran it on this profile)
+     + reconstitution. *)
   let ohds =
-    stage "hds-detection" (fun () ->
-        Detector.detect_with_stats ~config:cfg.detector ~method_:cfg.method_ stats trace)
+    match ohds with
+    | Some ohds -> ohds
+    | None ->
+      stage "hds-detection" (fun () ->
+          Detector.detect_with_stats ~config:cfg.detector ~method_:cfg.method_ stats trace)
   in
   let layout = stage "reconstitution" (fun () -> Layout.reconstitute ohds) in
   Log.debug (fun m ->

@@ -65,11 +65,15 @@ val plan :
 
 val plan_with_stats :
   ?config:config ->
+  ?ohds:Prefix_hds.Hds.t list ->
   variant:Plan.variant ->
   Prefix_trace.Trace_stats.t ->
   Prefix_trace.Trace.t ->
   Plan.t
-(** Like {!plan} but reuses an existing trace analysis. *)
+(** Like {!plan} but reuses an existing trace analysis.  [ohds], when
+    given, must be [Detector.detect_with_stats ~config:config.detector
+    ~method_:config.method_] of the same profile: the variants then
+    share one detection instead of each running its own. *)
 
 val all_variants :
   ?config:config -> Prefix_trace.Trace.t -> (Plan.variant * Plan.t) list

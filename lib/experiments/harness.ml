@@ -151,6 +151,25 @@ let prefetch_pool () =
 
 let prefetch_spawn f = Prefix_parallel.Pool.submit (prefetch_pool ()) f
 
+(* The four plans that rest on the profile's OHDS — the three PreFix
+   variants and the HDS baseline's — from one detection.  Every one of
+   them would detect with the same configuration on the same profile;
+   the detection runs once, in a "hds-detection" span. *)
+let profile_plans profiling_stats profiling_trace =
+  let config = effective_pipeline_config () in
+  let ohds =
+    Span.with_ ~cat:"harness" "hds-detection" (fun () ->
+        Detector.detect_with_stats ~config:config.detector ~method_:config.method_
+          profiling_stats profiling_trace)
+  in
+  let plan_of variant =
+    Pipeline.plan_with_stats ~config ~ohds ~variant profiling_stats profiling_trace
+  in
+  ( plan_of Plan.Hot,
+    plan_of Plan.Hds,
+    plan_of Plan.HdsHot,
+    Hds_policy.plan_of_trace ~ohds profiling_stats profiling_trace )
+
 let run_benchmark_spooling (wl : Workload.t) ~spooled_path =
   (* Each benchmark derives all randomness from fixed per-benchmark
      seeds (no RNG state is shared across tasks), so a pooled run is
@@ -248,17 +267,11 @@ let run_benchmark_spooling (wl : Workload.t) ~spooled_path =
     { Policy.is_hot = Hashtbl.mem long_hot_set; is_hds = Hashtbl.mem long_hds_set }
   in
   let costs = exec_config.costs in
-  (* Profile-side plans. *)
+  (* Profile-side plans, sharing one detection of the profile. *)
   Log.info (fun m -> m "%s: planning" wl.name);
-  let plan_of variant =
-    Pipeline.plan_with_stats
-      ~config:(effective_pipeline_config ())
-      ~variant profiling_stats profiling_trace
+  let plan_hot, plan_hds, plan_hdshot, hds_plan =
+    profile_plans profiling_stats profiling_trace
   in
-  let plan_hot = plan_of Plan.Hot in
-  let plan_hds = plan_of Plan.Hds in
-  let plan_hdshot = plan_of Plan.HdsHot in
-  let hds_plan = Hds_policy.plan_of_trace ~detector:pipeline_config.detector profiling_stats profiling_trace in
   let halo_plan = Prefix_halo.Halo.plan_of_trace profiling_stats profiling_trace in
   let block_plan = Block_policy.plan_of_trace profiling_trace in
   (* Long-run replays. *)

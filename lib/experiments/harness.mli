@@ -112,6 +112,14 @@ val best_prefix : result -> policy_run * string
 val time_delta : result -> policy_run -> float
 (** % execution-time change vs the run's baseline (negative = faster). *)
 
+val profile_plans :
+  Prefix_trace.Trace_stats.t ->
+  Prefix_trace.Trace.t ->
+  Prefix_core.Plan.t * Prefix_core.Plan.t * Prefix_core.Plan.t * Prefix_runtime.Hds_policy.plan
+(** The PreFix Hot, HDS and HDS+Hot plans and the HDS baseline's plan of
+    one profile, as [run_benchmark] builds them: all four share one OHDS
+    detection, run in a "hds-detection" span. *)
+
 val run_benchmark : Prefix_workloads.Workload.t -> result
 (** Run one benchmark end to end (not cached). *)
 

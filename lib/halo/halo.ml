@@ -25,80 +25,99 @@ let hot_contexts config stats =
   |> List.sort (fun (_, a) (_, b) -> compare b a)
   |> List.map fst
 
+(* Int-keyed table for pair ticks; a pair (a, b) of hot-context ranks,
+   a < b, is the key a * n + b over n hot contexts. *)
+module Pairs = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash = Hashtbl.hash
+end)
+
 (* Affinity: sliding window over the heap-access stream; every pair of hot
    contexts co-occurring within the window gets a tick.  Normalised by the
-   smaller context's access count. *)
-let affinity_matrix config stats trace hot_ctxs =
-  let is_hot_ctx = Hashtbl.create 16 in
-  List.iter (fun c -> Hashtbl.replace is_hot_ctx c ()) hot_ctxs;
-  let ctx_of_obj = Hashtbl.create 1024 in
+   smaller context's access count.  Contexts are handled by their rank in
+   [hot_ctxs]: the window is a ring of ranks, per-context access counts
+   an array, and the tick table grows with the pairs seen. *)
+let affinity config stats trace hot_ctxs =
+  let n = Array.length hot_ctxs in
+  let rank_of_ctx = Hashtbl.create 64 in
+  Array.iteri (fun r c -> Hashtbl.replace rank_of_ctx c r) hot_ctxs;
+  let rank_of_obj = Hashtbl.create 1024 in
   List.iter
     (fun (o : Trace_stats.obj_info) ->
-      if Hashtbl.mem is_hot_ctx o.ctx then Hashtbl.replace ctx_of_obj o.obj o.ctx)
+      match Hashtbl.find_opt rank_of_ctx o.ctx with
+      | Some r -> Hashtbl.replace rank_of_obj o.obj r
+      | None -> ())
     (Trace_stats.objects stats);
-  let counts : (int * int, int) Hashtbl.t = Hashtbl.create 256 in
-  let ctx_accesses : (int, int) Hashtbl.t = Hashtbl.create 64 in
-  let window = Queue.create () in
-  let bump tbl k = Hashtbl.replace tbl k (1 + Option.value ~default:0 (Hashtbl.find_opt tbl k)) in
+  let ticks = Pairs.create 256 in
+  let accesses = Array.make n 0 in
+  let cap = max 0 config.affinity_window in
+  let window = Array.make cap 0 in
+  let filled = ref 0 and next = ref 0 in
   Trace.iter
     (fun e ->
       match (e : Event.t) with
       | Access { obj; _ } -> (
-        match Hashtbl.find_opt ctx_of_obj obj with
+        match Hashtbl.find_opt rank_of_obj obj with
         | None -> ()
-        | Some ctx ->
-          bump ctx_accesses ctx;
-          Queue.iter
-            (fun other ->
-              if other <> ctx then begin
-                let key = (min ctx other, max ctx other) in
-                bump counts key
-              end)
-            window;
-          Queue.push ctx window;
-          if Queue.length window > config.affinity_window then ignore (Queue.pop window))
+        | Some r ->
+          accesses.(r) <- accesses.(r) + 1;
+          for w = 0 to !filled - 1 do
+            let other = window.(w) in
+            if other <> r then begin
+              let key = if r < other then (r * n) + other else (other * n) + r in
+              match Pairs.find ticks key with
+              | t -> incr t
+              | exception Not_found -> Pairs.add ticks key (ref 1)
+            end
+          done;
+          if cap > 0 then begin
+            window.(!next) <- r;
+            next := (!next + 1) mod cap;
+            if !filled < cap then incr filled
+          end)
       | _ -> ())
     trace;
-  let accesses c = Option.value ~default:0 (Hashtbl.find_opt ctx_accesses c) in
-  Hashtbl.fold
-    (fun (a, b) ticks acc ->
-      let denom = min (accesses a) (accesses b) in
-      if denom = 0 then acc
-      else ((a, b), float_of_int ticks /. float_of_int denom) :: acc)
-    counts []
-  |> List.sort (fun (_, x) (_, y) -> compare y x)
+  (ticks, accesses)
 
-(* Greedy union-find grouping over pairs above the affinity threshold. *)
-let group config pairs hot_ctxs =
-  let parent = Hashtbl.create 64 in
-  List.iter (fun c -> Hashtbl.replace parent c c) hot_ctxs;
-  let rec find c =
-    let p = Hashtbl.find parent c in
-    if p = c then c
+(* Groups are the connected components of the pairs at or above
+   [min_affinity]: a partition that does not depend on the order pairs
+   are united in, listed canonically (members ascending, groups in
+   ascending order). *)
+let group config (ticks, accesses) hot_ctxs =
+  let n = Array.length hot_ctxs in
+  let parent = Array.init n Fun.id in
+  let rec find r =
+    let p = parent.(r) in
+    if p = r then r
     else begin
       let root = find p in
-      Hashtbl.replace parent c root;
+      parent.(r) <- root;
       root
     end
   in
-  let union a b =
-    let ra = find a and rb = find b in
-    if ra <> rb then Hashtbl.replace parent ra rb
-  in
-  List.iter (fun ((a, b), w) -> if w >= config.min_affinity then union a b) pairs;
-  let groups : (int, int list) Hashtbl.t = Hashtbl.create 64 in
-  List.iter
-    (fun c ->
-      let r = find c in
-      Hashtbl.replace groups r (c :: Option.value ~default:[] (Hashtbl.find_opt groups r)))
-    hot_ctxs;
-  Hashtbl.fold (fun _ g acc -> List.sort compare g :: acc) groups []
+  Pairs.iter
+    (fun key t ->
+      let a = key / n and b = key mod n in
+      let denom = min accesses.(a) accesses.(b) in
+      if denom > 0 && float_of_int !t /. float_of_int denom >= config.min_affinity then begin
+        let ra = find a and rb = find b in
+        if ra <> rb then parent.(ra) <- rb
+      end)
+    ticks;
+  let members = Array.make n [] in
+  for r = n - 1 downto 0 do
+    let root = find r in
+    members.(root) <- hot_ctxs.(r) :: members.(root)
+  done;
+  Array.fold_left (fun acc g -> if g = [] then acc else List.sort compare g :: acc) [] members
   |> List.sort compare
 
 let plan_of_trace ?(config = default_config) stats trace =
   let hot_ctxs = hot_contexts config stats in
-  let pairs = affinity_matrix config stats trace hot_ctxs in
-  let groups = group config pairs hot_ctxs in
+  let ranked = Array.of_list hot_ctxs in
+  let groups = group config (affinity config stats trace ranked) ranked in
   { groups; hot_ctxs }
 
 let ctx_in_plan plan ctx =

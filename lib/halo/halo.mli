@@ -44,9 +44,10 @@ val plan_of_trace :
   Prefix_trace.Trace_stats.t ->
   Prefix_trace.Trace.t ->
   plan
-(** Run the HALO profile analysis: pick hot contexts, build the
-    affinity matrix over them, and group greedily by descending
-    affinity. *)
+(** Run the HALO profile analysis: pick hot contexts, count their
+    pairwise affinity, and group every two contexts whose affinity
+    reaches [min_affinity] — the connected components, which is the
+    partition greedy merging by descending affinity arrives at. *)
 
 val ctx_in_plan : plan -> int -> int option
 (** [ctx_in_plan p ctx] is the group index the signature belongs to,

@@ -33,48 +33,54 @@ let default_config =
     ngram_max = 4;
     ngram_min_hits = 6 }
 
-let hot_table stats =
+let hot_table config stats =
   let hot = Hashtbl.create 256 in
   List.iter
     (fun (o : Trace_stats.obj_info) -> Hashtbl.replace hot o.obj ())
-    (Trace_stats.hot_objects stats);
+    (Trace_stats.hot_objects ~coverage:config.coverage stats);
   hot
 
-let hot_sequence stats trace =
-  let hot = hot_table stats in
-  let out = ref [] in
+(* The pruned sequence is collected in a doubling int array: about one
+   word per element, where a list takes three. *)
+type seq_buf = { mutable data : int array; mutable len : int }
+
+let push buf obj =
+  if buf.len = Array.length buf.data then begin
+    let data = Array.make (2 * buf.len) 0 in
+    Array.blit buf.data 0 data 0 buf.len;
+    buf.data <- data
+  end;
+  buf.data.(buf.len) <- obj;
+  buf.len <- buf.len + 1
+
+(* Accesses to hot objects, adjacent duplicates collapsed. *)
+let pruned config stats iter =
+  let hot = hot_table config stats in
+  let buf = { data = Array.make 1024 0; len = 0 } in
   let last = ref min_int in
-  Trace.iter
-    (fun e ->
-      match (e : Event.t) with
-      | Access { obj; _ } when Hashtbl.mem hot obj && obj <> !last ->
-        out := obj :: !out;
+  iter (fun obj ->
+      if obj <> !last && Hashtbl.mem hot obj then begin
+        push buf obj;
         last := obj
-      | _ -> ())
-    trace;
-  Array.of_list (List.rev !out)
+      end);
+  Array.sub buf.data 0 buf.len
+
+let hot_sequence ?(config = default_config) stats trace =
+  pruned config stats (fun visit ->
+      Trace.iter (function Event.Access { obj; _ } -> visit obj | _ -> ()) trace)
 
 (* Streaming variant: the pruned sequence (hot accesses, adjacent
    duplicates collapsed) is far smaller than the trace, so mining stays
    in memory while the trace itself never is. *)
-let hot_sequence_stream stats stream =
-  let hot = hot_table stats in
-  let out = ref [] in
-  let last = ref min_int in
-  Stream.iter_segments stream (fun ~base:_ seg ->
-      Packed.iteri
-        ~access:(fun _ ~obj ~offset:_ ~write:_ ~thread:_ ->
-          if Hashtbl.mem hot obj && obj <> !last then begin
-            out := obj :: !out;
-            last := obj
-          end)
-        seg);
-  Array.of_list (List.rev !out)
+let hot_sequence_stream ?(config = default_config) stats stream =
+  pruned config stats (fun visit ->
+      Stream.iter_segments stream (fun ~base:_ seg ->
+          Packed.iteri ~access:(fun _ ~obj ~offset:_ ~write:_ ~thread:_ -> visit obj) seg))
 
 (* Sampled autocorrelation: for each candidate lag, the fraction of
    sampled positions i with seq.(i) = seq.(i + lag).  Periodic traversal
    patterns light up at (multiples of) their period. *)
-let dominant_periods ?(config = default_config) seq =
+let dominant_periods ?(config = default_config) (seq : int array) =
   let n = Array.length seq in
   if n < 8 then []
   else begin
@@ -189,19 +195,115 @@ let mine_lcs cfg seq tbl =
    have no usable autocorrelation peak, but their adjacent k-grams
    repeat verbatim.  Count every k-gram of distinct objects and promote
    the frequent ones to candidates.  Incidental repeats of unrelated
-   digrams are filtered by the [ngram_min_hits] floor. *)
-let mine_ngrams cfg seq tbl =
-  let n = Array.length seq in
-  let counts : (int list, candidate) Hashtbl.t = Hashtbl.create 4096 in
-  for k = 2 to cfg.ngram_max do
-    for i = 0 to n - k do
-      let gram = Array.to_list (Array.sub seq i k) in
-      let distinct = List.length (List.sort_uniq compare gram) = k in
-      if distinct then begin
-        match Hashtbl.find_opt counts gram with
-        | Some c -> c.hits <- c.hits + 1
-        | None -> Hashtbl.replace counts gram { order = gram; hits = 1 }
+   digrams are filtered by the [ngram_min_hits] floor.
+
+   Counting allocates nothing per position.  For one gram length k, an
+   open-addressing table over [slots] (entry index, or -1 when empty)
+   finds a gram by comparing sequence slices in place.  Entries are
+   dense, in first-occurrence order, and hold a gram's first position
+   and its count; there are twice as many slots as entry places, so the
+   load stays at most one half.  The table doubles with the number of
+   distinct grams, never with the sequence length, and is reused for
+   every k. *)
+type gram_table = {
+  mutable k : int;
+  mutable slots : int array;
+  mutable first : int array;
+  mutable count : int array;
+  mutable distinct : int;
+}
+
+let gram_hash (seq : int array) i k =
+  let h = ref k in
+  for j = i to i + k - 1 do
+    let x = (!h lxor seq.(j)) * 0x2545F4914F6CDD1D in
+    h := x lxor (x lsr 29)
+  done;
+  !h
+
+let rec same_gram (seq : int array) i j k d =
+  d = k || (seq.(i + d) = seq.(j + d) && same_gram seq i j k (d + 1))
+
+let distinct_gram (seq : int array) i k =
+  let ok = ref true in
+  for a = i to i + k - 2 do
+    for b = a + 1 to i + k - 1 do
+      if seq.(a) = seq.(b) then ok := false
+    done
+  done;
+  !ok
+
+(* Slot of the gram at [i], or the empty slot where it belongs. *)
+let find_slot seq t i h =
+  let mask = Array.length t.slots - 1 in
+  let s = ref (h land mask) in
+  while
+    let e = t.slots.(!s) in
+    e >= 0 && not (same_gram seq t.first.(e) i t.k 0)
+  do
+    s := (!s + 1) land mask
+  done;
+  !s
+
+(* Doubles the slots and the entry arrays; entries keep their indices. *)
+let grow seq t =
+  let cap = 2 * Array.length t.first in
+  t.slots <- Array.make (2 * cap) (-1);
+  for e = 0 to t.distinct - 1 do
+    let first = t.first.(e) in
+    t.slots.(find_slot seq t first (gram_hash seq first t.k)) <- e
+  done;
+  let widen a =
+    let b = Array.make cap 0 in
+    Array.blit a 0 b 0 t.distinct;
+    b
+  in
+  t.first <- widen t.first;
+  t.count <- widen t.count
+
+let count_grams t seq k =
+  Array.fill t.slots 0 (Array.length t.slots) (-1);
+  t.k <- k;
+  t.distinct <- 0;
+  for i = 0 to Array.length seq - k do
+    if distinct_gram seq i k then begin
+      let h = gram_hash seq i k in
+      let s = find_slot seq t i h in
+      let e = t.slots.(s) in
+      if e >= 0 then t.count.(e) <- t.count.(e) + 1
+      else begin
+        let s =
+          if t.distinct < Array.length t.first then s
+          else begin
+            grow seq t;
+            find_slot seq t i h
+          end
+        in
+        let e = t.distinct in
+        t.slots.(s) <- e;
+        t.first.(e) <- i;
+        t.count.(e) <- 1;
+        t.distinct <- e + 1
       end
+    end
+  done
+
+let mine_ngrams cfg seq tbl =
+  let t =
+    { k = 0; slots = Array.make 256 (-1); first = Array.make 128 0; count = Array.make 128 0; distinct = 0 }
+  in
+  (* No gram below [base] can clear the floor, so only the others are
+     kept from each k's table: (k, first position, count), newest
+     first. *)
+  let base = max cfg.min_occurrences cfg.ngram_min_hits in
+  let kept = ref [] and top = ref 0 and total = ref 0 in
+  for k = 2 to cfg.ngram_max do
+    count_grams t seq k;
+    total := !total + t.distinct;
+    for e = 0 to t.distinct - 1 do
+      let c = t.count.(e) in
+      if c > !top then top := c;
+      if c >= base then kept := (k, t.first.(e), c) :: !kept
     done
   done;
   (* The floor adapts to the strongest candidate: a stream consulted
@@ -209,17 +311,31 @@ let mine_ngrams cfg seq tbl =
      neighbours look frequent in absolute terms, while a genuinely
      recurring chain in a short profile may only repeat a handful of
      times. *)
-  let top = Hashtbl.fold (fun _ c acc -> max acc c.hits) counts 0 in
-  let floor = max (max cfg.min_occurrences cfg.ngram_min_hits) (top / 50) in
+  let floor = max base (!top / 50) in
+  (* Several orders of one member set can clear the floor; the first
+     one merged gives the candidate its order, so which one comes first
+     is part of the output.  It is the gram that [Hashtbl.iter] yields
+     first from an int-list-keyed table of every distinct gram, as in
+     the reference miner (test/ref_analysis.ml).  The survivors alone
+     reproduce that order: a key's bucket depends only on the key and
+     the bucket count, and a bucket lists its keys newest first.  So
+     they go into a [Hashtbl] with the bucket count the full table ends
+     at (4096, doubled while the grams outnumber twice the buckets), in
+     the full table's insertion order (k ascending, first occurrence
+     within k), and are merged in its iteration order. *)
+  let rec buckets b = if !total > 2 * b then buckets (2 * b) else b in
+  let survivors = Hashtbl.create (buckets 4096) in
+  List.iter
+    (fun (k, first, c) ->
+      if c >= floor then Hashtbl.replace survivors (Array.to_list (Array.sub seq first k)) c)
+    (List.rev !kept);
   Hashtbl.iter
-    (fun gram c ->
-      if c.hits >= floor then begin
-        match Hashtbl.find_opt tbl (List.sort compare gram) with
-        | Some existing -> existing.hits <- existing.hits + c.hits
-        | None ->
-          Hashtbl.replace tbl (List.sort compare gram) { order = c.order; hits = c.hits }
-      end)
-    counts
+    (fun gram hits ->
+      let key = List.sort compare gram in
+      match Hashtbl.find_opt tbl key with
+      | Some existing -> existing.hits <- existing.hits + hits
+      | None -> Hashtbl.replace tbl key { order = gram; hits })
+    survivors
 
 let mine_sequitur cfg seq tbl =
   let g = Sequitur.build seq in
@@ -254,10 +370,10 @@ let detect_seq ~config ~method_ stats seq =
   |> List.filteri (fun i _ -> i < config.max_streams)
 
 let detect_with_stats ?(config = default_config) ?(method_ = Lcs) stats trace =
-  detect_seq ~config ~method_ stats (hot_sequence stats trace)
+  detect_seq ~config ~method_ stats (hot_sequence ~config stats trace)
 
 let detect_stream ?(config = default_config) ?(method_ = Lcs) stats stream =
-  detect_seq ~config ~method_ stats (hot_sequence_stream stats stream)
+  detect_seq ~config ~method_ stats (hot_sequence_stream ~config stats stream)
 
 let detect ?config ?method_ trace =
   let stats = Trace_stats.analyze trace in

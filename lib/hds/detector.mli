@@ -35,12 +35,14 @@ type config = {
 
 val default_config : config
 
-val hot_sequence : Prefix_trace.Trace_stats.t -> Prefix_trace.Trace.t -> int array
+val hot_sequence :
+  ?config:config -> Prefix_trace.Trace_stats.t -> Prefix_trace.Trace.t -> int array
 (** The pruned hot-object access sequence: object ids of accesses to hot
-    objects with consecutive duplicates collapsed. *)
+    objects (selected at [config.coverage]) with consecutive duplicates
+    collapsed. *)
 
 val hot_sequence_stream :
-  Prefix_trace.Trace_stats.t -> Prefix_trace.Stream.t -> int array
+  ?config:config -> Prefix_trace.Trace_stats.t -> Prefix_trace.Stream.t -> int array
 (** Same pruned sequence off a segment stream — the trace is never
     materialized, only the (much smaller) pruned sequence is. *)
 

@@ -6,9 +6,14 @@ module Metric = Prefix_obs.Metric
 
 type plan = { interesting_sites : int list }
 
-let plan_of_trace ?detector stats trace =
-  let config = Option.value ~default:Detector.default_config detector in
-  let ohds = Detector.detect_with_stats ~config stats trace in
+let plan_of_trace ?detector ?ohds stats trace =
+  let ohds =
+    match ohds with
+    | Some ohds -> ohds
+    | None ->
+      let config = Option.value ~default:Detector.default_config detector in
+      Detector.detect_with_stats ~config stats trace
+  in
   let sites =
     List.concat_map Hds.objs ohds
     |> List.map (fun o -> (Trace_stats.obj_info stats o).site)

@@ -14,9 +14,13 @@ type plan = { interesting_sites : int list }
 
 val plan_of_trace :
   ?detector:Prefix_hds.Detector.config ->
+  ?ohds:Prefix_hds.Hds.t list ->
   Prefix_trace.Trace_stats.t ->
   Prefix_trace.Trace.t ->
   plan
+(** Interesting sites of the profile's OHDS.  [ohds], when given, is
+    used as that OHDS (it must be the LCS detection under [detector] of
+    the same profile); otherwise detection runs here. *)
 
 val policy :
   ?mode:Policy.mode ->

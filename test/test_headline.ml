@@ -74,10 +74,27 @@ let test_recycling_calls_avoided () =
         (best.metrics.calls_avoided >= at_least))
     [ ("povray", 10_000); ("roms", 10_000); ("leela", 40_000); ("swissmap", 8_000) ]
 
+(* Every benchmark's `prefix run` report, byte for byte: a change meant
+   to be a pure speedup must leave this file alone.  Regenerate with
+   test/gen_run_reports.exe only for a change meant to move reports. *)
+let test_run_reports_golden () =
+  let got =
+    String.concat ""
+      (List.map
+         (fun name ->
+           Printf.sprintf "== %s ==\n%s" name (Prefix_experiments.Durable.render (H.find name)))
+         Prefix_workloads.Registry.names)
+  in
+  let ic = open_in "golden_run_reports.expected" in
+  let expected = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  Alcotest.(check string) "run reports golden" expected got
+
 let suite =
   [ ( "headline",
       [ Alcotest.test_case "every benchmark direction" `Slow test_every_benchmark_direction;
         Alcotest.test_case "mean matches paper" `Slow test_mean_matches_paper;
         Alcotest.test_case "prefix beats HDS" `Slow test_prefix_beats_hds_on_average;
         Alcotest.test_case "pollution ordering" `Slow test_pollution_ordering;
-        Alcotest.test_case "recycling calls avoided" `Slow test_recycling_calls_avoided ] ) ]
+        Alcotest.test_case "recycling calls avoided" `Slow test_recycling_calls_avoided;
+        Alcotest.test_case "run reports golden" `Slow test_run_reports_golden ] ) ]

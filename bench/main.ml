@@ -44,15 +44,6 @@
    and write BENCH_checkpoint.json; exits non-zero if the geomean
    overhead exceeds the 3% budget.
 
-   And `pipeline [--benches a,b] [--scale long|huge] [--out FILE]`:
-   spool each benchmark's evaluation trace into a columnar v3
-   container, then replay all seven harness policies from it two ways —
-   seven independent decode+replay passes (the per-policy path) vs one
-   decode-once fan-out over a prefetch-pipelined stream — print
-   events/s for both, and write BENCH_pipeline.json; exits non-zero if
-   any of the fourteen streamed outcomes differs from the materialized
-   packed replay.
-
    And `block [--benches a,b] [--out FILE]`: replay each benchmark's
    Profiling-scale trace under baseline, the Immix-style Block policy,
    and PreFix:HDS+Hot planned twice — modulo-N recycling vs greedy
@@ -751,183 +742,6 @@ let run_checkpoint_bench ~benches ~out =
     exit 1
   end
 
-(* Decode-once pipelined replay vs the per-policy columnar path: spool
-   each benchmark's evaluation trace into a columnar (v3) container,
-   build the six harness policies from Profiling-scale plans, then time
-   two ways of replaying all six from the file —
-
-   - per-policy (the PR 8 production path, reproduced faithfully): six
-     independent [Executor.run_stream] passes, each decoding the
-     container end to end through the channel reader, with the widened
-     batched-probe fast path disabled ([Executor.probe_widening]) —
-     PR 8's executor probed strictly per event;
-   - decode-once: a single [Executor.run_stream_many] fan-out over an
-     mmap-backed, prefetch-pipelined stream (segment N+1 decodes on a
-     spawned domain while segment N replays through all six sessions),
-     widened probes on.
-
-   The decode-once leg wraps the stream in [Stream.prefetched] only
-   when [jobs >= 2] — mirroring the harness gate: on a single
-   hardware thread a producer domain just contends with the consumer.
-
-   Differential: all fourteen streamed outcomes must be structurally
-   identical to [Executor.run_packed] on the materialized trace; any
-   divergence fails the run.  The JSON carries the 1.3x geomean target
-   the roadmap gates on next to the measured geomean. *)
-let run_pipeline_bench ~benches ~scale ~jobs ~out =
-  let module Stream = Prefix_trace.Stream in
-  let module Packed = Prefix_trace.Packed in
-  let module Executor = Prefix_runtime.Executor in
-  let module Policy = Prefix_runtime.Policy in
-  let module Pipeline = Prefix_core.Pipeline in
-  let module Plan = Prefix_core.Plan in
-  let module Trace_stats = Prefix_trace.Trace_stats in
-  let costs = Executor.default_config.costs in
-  let reps = 5 in
-  let time_ns f =
-    (* Best of [reps] after one warmup — replays are deterministic, so
-       min is the least-noise estimator. *)
-    ignore (f ());
-    let best = ref Int64.max_int in
-    for _ = 1 to reps do
-      let t0 = Prefix_obs.Clock.now_ns () in
-      ignore (f ());
-      let dt = Int64.sub (Prefix_obs.Clock.now_ns ()) t0 in
-      if dt < !best then best := dt
-    done;
-    Int64.to_float !best /. 1e9
-  in
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf
-    ("{\n"
-    ^ provenance_json ~reps ~scale:(Prefix_workloads.Workload.scale_name scale)
-    ^ "  \"benches\": [");
-  let all_equal = ref true in
-  let speedups = ref [] in
-  Printf.printf
-    "=== decode-once pipelined replay vs per-policy columnar (%s scale, 7 \
-     policies) ===\n"
-    (Prefix_workloads.Workload.scale_name scale);
-  Printf.printf "%-10s %10s %14s %14s %8s  %s\n" "bench" "events"
-    "per-pol ev/s" "dec-once ev/s" "speedup" "metrics";
-  List.iteri
-    (fun bi name ->
-      let wl = Prefix_workloads.Registry.find name in
-      (* Profiling-side plans, exactly as the harness builds them. *)
-      let ptrace = wl.generate ~scale:Profiling ~seed:7 () in
-      let pstats = Trace_stats.analyze_packed (Packed.of_trace ptrace) in
-      let hds_plan = Prefix_runtime.Hds_policy.plan_of_trace pstats ptrace in
-      let halo_plan = Prefix_halo.Halo.plan_of_trace pstats ptrace in
-      let plan v = Pipeline.plan_with_stats ~variant:v pstats ptrace in
-      let plan_hot = plan Plan.Hot in
-      let plan_hds = plan Plan.Hds in
-      let plan_hdshot = plan Plan.HdsHot in
-      let block_plan = Prefix_runtime.Block_policy.plan_of_trace ptrace in
-      let cls = Policy.no_classification in
-      let policies =
-        [ ("baseline", fun heap -> Policy.baseline costs heap);
-          ("HDS", fun heap -> Prefix_runtime.Hds_policy.policy costs heap hds_plan cls);
-          ("HALO", fun heap -> Prefix_runtime.Halo_policy.policy costs heap halo_plan cls);
-          ("Block",
-           fun heap -> Prefix_runtime.Block_policy.policy costs heap block_plan cls);
-          ("PreFix-Hot", fun heap -> Prefix_runtime.Prefix_policy.policy costs heap plan_hot cls);
-          ("PreFix-HDS", fun heap -> Prefix_runtime.Prefix_policy.policy costs heap plan_hds cls);
-          ("PreFix-HDS+Hot",
-           fun heap -> Prefix_runtime.Prefix_policy.policy costs heap plan_hdshot cls) ]
-      in
-      let packed =
-        Stream.to_packed (Prefix_workloads.Workload.generate_stream wl ~scale ~seed:8 ())
-      in
-      let events = Packed.length packed in
-      let path = Filename.temp_file ("prefix-" ^ name ^ "-pipe-") ".pfxt" in
-      Fun.protect
-        ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
-        (fun () ->
-          Prefix_trace.Columnar.write_file path packed;
-          (* Re-iterable streams, reused across reps (the production
-             pattern): the channel stream re-opens the file per pass,
-             the mmap stream maps it once and keeps the decoder. *)
-          let ch_stream = Stream.of_binary_file ~backend:`Channel path in
-          let fan_stream =
-            let s = Stream.of_binary_file path in
-            if jobs >= 2 then Stream.prefetched s else s
-          in
-          let widened on f x =
-            Executor.probe_widening := on;
-            Fun.protect ~finally:(fun () -> Executor.probe_widening := true) (fun () -> f x)
-          in
-          let per_policy () =
-            widened false
-              (List.map (fun (_, policy) -> Executor.run_stream ~policy ch_stream))
-              policies
-          in
-          let decode_once () =
-            widened true
-              (Executor.run_stream_many ~policies:(List.map snd policies))
-              fan_stream
-          in
-          (* Differential leg (untimed): every streamed outcome must
-             match the materialized replay. *)
-          let references =
-            List.map (fun (_, policy) -> Executor.run_packed ~policy packed) policies
-          in
-          let bench_equal = ref true in
-          let check what (pname, _) (reference : Executor.outcome)
-              (o : Executor.outcome) =
-            if
-              o.Executor.metrics <> reference.Executor.metrics
-              || o.Executor.recovery <> reference.Executor.recovery
-            then begin
-              all_equal := false;
-              bench_equal := false;
-              Printf.eprintf "bench: %s: %s %s replay diverges from run_packed\n"
-                name what pname
-            end
-          in
-          let check_all what outcomes =
-            List.iter2 (fun (p, r) o -> check what p r o)
-              (List.combine policies references) outcomes
-          in
-          check_all "per-policy" (per_policy ());
-          check_all "decode-once" (decode_once ());
-          let t_old = time_ns per_policy in
-          let t_new = time_ns decode_once in
-          let total = 7 * events in
-          let rate t = if t > 0. then float_of_int total /. t else 0. in
-          let speedup = if t_new > 0. then t_old /. t_new else 0. in
-          speedups := speedup :: !speedups;
-          Printf.printf "%-10s %10d %14.0f %14.0f %7.2fx  %s\n" name events
-            (rate t_old) (rate t_new) speedup
-            (if !bench_equal then "identical" else "MISMATCH");
-          if bi > 0 then Buffer.add_char buf ',';
-          Buffer.add_string buf
-            (Printf.sprintf
-               "\n    { \"bench\": %S, \"events\": %d, \
-                \"per_policy_events_per_sec\": %.0f, \
-                \"decode_once_events_per_sec\": %.0f, \"speedup\": %.3f }"
-               name events (rate t_old) (rate t_new) speedup)))
-    benches;
-  let geomean =
-    match !speedups with
-    | [] -> 1.
-    | ss ->
-      exp (List.fold_left (fun a s -> a +. log (max 1e-9 s)) 0. ss
-           /. float_of_int (List.length ss))
-  in
-  Buffer.add_string buf
-    (Printf.sprintf
-       " ],\n  \"geomean_speedup\": %.3f,\n  \"target_speedup\": 1.3,\n  \
-        \"all_equal\": %b\n}\n"
-       geomean !all_equal);
-  Prefix_util.Fsio.atomic_write_string out (Buffer.contents buf);
-  Printf.printf
-    "geomean decode-once speedup %.2fx over %d benches (target 1.30x); wrote %s\n"
-    geomean (List.length !speedups) out;
-  if not !all_equal then begin
-    prerr_endline "bench: pipelined replay outcomes differ from run_packed";
-    exit 1
-  end
-
 (* Interval-colored vs modulo-N recycling, plus the Block policy itself.
    Each benchmark's Profiling-scale trace (the input whose liveness the
    interval pass saw, so coloring covers every instance) is replayed
@@ -1155,29 +969,6 @@ let () =
         ~scale:Prefix_workloads.Workload.Long ~out:"BENCH_columnar.json" rest
     in
     run_columnar_bench ~benches ~scale ~out
-  | "pipeline" :: rest ->
-    let rec parse ~benches ~scale ~out = function
-      | "--benches" :: bs :: rest ->
-        parse ~benches:(String.split_on_char ',' bs) ~scale ~out rest
-      | "--scale" :: s :: rest -> (
-        match s with
-        | "profiling" -> parse ~benches ~scale:Prefix_workloads.Workload.Profiling ~out rest
-        | "long" -> parse ~benches ~scale:Prefix_workloads.Workload.Long ~out rest
-        | "huge" -> parse ~benches ~scale:Prefix_workloads.Workload.Huge ~out rest
-        | _ ->
-          Printf.eprintf "bench: pipeline: unknown scale %S\n" s;
-          exit 2)
-      | "--out" :: f :: rest -> parse ~benches ~scale ~out:f rest
-      | [] -> (benches, scale, out)
-      | a :: _ ->
-        Printf.eprintf "bench: pipeline: unknown argument %S\n" a;
-        exit 2
-    in
-    let benches, scale, out =
-      parse ~benches:Prefix_workloads.Registry.names
-        ~scale:Prefix_workloads.Workload.Long ~out:"BENCH_pipeline.json" rest
-    in
-    run_pipeline_bench ~benches ~scale ~jobs ~out
   | "block" :: rest ->
     let rec parse ~benches ~out = function
       | "--benches" :: bs :: rest ->
@@ -1236,6 +1027,6 @@ let () =
           Printf.printf "unknown experiment %S; available: %s, micro\n" id
             (String.concat ", " (List.map (fun (e : R.experiment) -> e.id) R.all
                                   @ [ "csv"; "reps"; "throughput"; "stream";
-                                      "columnar"; "pipeline"; "block";
+                                      "columnar"; "block";
                                       "telemetry"; "checkpoint" ])))
       ids

@@ -207,13 +207,6 @@ let finish_run ~config ~(p : Policy.t) ~lenient ~obs_on ~start_ns ~heap ~mem ~ev
    them) fall back to a Hashtbl so semantics match the boxed path
    exactly. *)
 
-(* Differential/bench knob for the widened batched-probe fast path in
-   access runs.  Outcomes are identical either way (the batch is an
-   accounting-equivalent rewrite of per-event MRU hits); turning it off
-   recovers the strictly per-event probe loop so the pipeline benchmark
-   can time the pre-widening replay as its baseline leg. *)
-let probe_widening = ref true
-
 let not_live = min_int
 
 type otbl = {
@@ -523,9 +516,7 @@ let replay_segment st ~base packed =
   let run_access_fast run_start run_stop =
     let index = ref run_start in
     (* Lookahead cursors, hoisted: allocating refs per access head costs
-       more than the batching saves (non-flambda refs are boxed).  The
-       knob is read once per run — it cannot change mid-replay. *)
-    let widen = !probe_widening in
+       more than the batching saves (non-flambda refs are boxed). *)
     let j = ref 0 in
     let writes = ref false in
     while !index < run_stop do
@@ -562,7 +553,7 @@ let replay_segment st ~base packed =
            overwhelmingly common no-streak path the widening adds a few
            integer ops and no memory traffic beyond two array loads. *)
         if
-          widen && n < run_stop
+          n < run_stop
           && Array.unsafe_get objs n = obj
           && (addr + Array.unsafe_get fas n) lsr shift = line
         then begin

@@ -44,15 +44,6 @@ type outcome = {
       (** lenient-mode recovery actions taken during the replay *)
 }
 
-val probe_widening : bool ref
-(** Enables the widened batched-probe fast path inside access runs
-    (default [true]): a streak of same-object, same-thread, same-line
-    accesses after a probed head is accounted in one batched MRU touch
-    per cache instead of per-event probes.  Outcomes are identical
-    either way — this is a perf-only differential knob, used by the
-    pipeline benchmark to time the pre-widening replay as its baseline
-    leg and by tests to check the equivalence. *)
-
 val run :
   ?config:config ->
   ?mode:Policy.mode ->

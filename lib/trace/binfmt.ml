@@ -42,16 +42,21 @@ let put_u32le buf n =
   Buffer.add_char buf (Char.chr ((n lsr 16) land 0xff));
   Buffer.add_char buf (Char.chr ((n lsr 24) land 0xff))
 
-type cursor = { data : bytes; mutable pos : int }
+(* A decode position inside a byte region, bounded by [limit]: every
+   container version is decoded through one, over the mapped file or
+   over a copy of in-memory bytes ({!Bigio.of_bytes}). *)
+type cursor = { big : Bigio.t; mutable pos : int; limit : int }
+
+let cursor big = { big; pos = 0; limit = Bigio.length big }
 
 (* Decode the full-63-bit companion of {!put_uvarint63}: the sign bit is
    a legal payload bit here (zigzag of a min_int-scale delta), so only
    length is bounded (9 bytes carry exactly 63 bits). *)
 let get_uvarint63 c =
   let rec go shift acc =
-    if c.pos >= Bytes.length c.data then Error "truncated varint"
+    if c.pos >= c.limit then Error "truncated varint"
     else begin
-      let b = Char.code (Bytes.get c.data c.pos) in
+      let b = Char.code (Bigio.unsafe_get c.big c.pos) in
       c.pos <- c.pos + 1;
       let acc = acc lor ((b land 0x7f) lsl shift) in
       if b land 0x80 = 0 then Ok acc
@@ -72,9 +77,9 @@ let get_uvarint c =
 let get_varint c = Result.map unzigzag (get_uvarint63 c)
 
 let get_u32le c =
-  if c.pos + 4 > Bytes.length c.data then Error "truncated checksum"
+  if c.pos + 4 > c.limit then Error "truncated checksum"
   else begin
-    let b i = Char.code (Bytes.get c.data (c.pos + i)) in
+    let b i = Char.code (Bigio.unsafe_get c.big (c.pos + i)) in
     let v = b 0 lor (b 1 lsl 8) lor (b 2 lsl 16) lor (b 3 lsl 24) in
     c.pos <- c.pos + 4;
     Ok v
@@ -192,13 +197,16 @@ let to_bytes_framed ?frame_events trace =
   write_framed ?frame_events buf trace;
   Buffer.to_bytes buf
 
-(* --- decoding --- *)
+(* --- decoding --------------------------------------------------------- *)
 
-let decode_event c st =
+(* [base] is subtracted from offsets in error strings so v2 payload
+   errors report payload-relative positions; v1 passes [base = 0]
+   (absolute offsets). *)
+let decode_event_big c ~base st =
   let ( let* ) = Result.bind in
-  if c.pos >= Bytes.length c.data then Error "truncated stream"
+  if c.pos >= c.limit then Error "truncated stream"
   else begin
-    let tag = Char.code (Bytes.get c.data c.pos) in
+    let tag = Char.code (Bigio.unsafe_get c.big c.pos) in
     c.pos <- c.pos + 1;
     match tag with
     | 0 ->
@@ -232,60 +240,81 @@ let decode_event c st =
       let* instrs = get_uvarint c in
       let* thread = get_uvarint c in
       Ok (Event.Compute { instrs; thread })
-    | t -> Error (Printf.sprintf "unknown tag %d at offset %d" t (c.pos - 1))
+    | t -> Error (Printf.sprintf "unknown tag %d at offset %d" t (c.pos - 1 - base))
   end
 
-let read_v1 c =
+let iter_big_v1 c ~f =
   let ( let* ) = Result.bind in
-  let data = c.data in
   let* count = get_uvarint c in
-  (* Every encoded event occupies at least 3 bytes (tag + two varint
-     fields); a count beyond that bound is a corrupted header and must
-     not drive the buffer allocation below. *)
+  (* Every encoded event occupies at least one byte; a count beyond the
+     remaining bytes is a corrupted header. *)
   let* () =
-    if count > (Bytes.length data - c.pos) then
-      Error (Printf.sprintf "implausible event count %d for %d payload bytes" count
-               (Bytes.length data - c.pos))
+    if count > c.limit - c.pos then
+      Error
+        (Printf.sprintf "implausible event count %d for %d payload bytes" count
+           (c.limit - c.pos))
     else Ok ()
   in
-  let trace = Trace.create ~capacity:(min count (1 lsl 20)) () in
   let st = fresh_state () in
   let rec events remaining =
-    if remaining = 0 then Ok trace
+    if remaining = 0 then Ok ()
     else
-      let* e = decode_event c st in
-      Trace.add trace e;
+      let* e = decode_event_big c ~base:0 st in
+      f e;
       events (remaining - 1)
   in
   events count
 
-(* Strict v2 decode: any CRC mismatch, marker corruption, cumulative
-   count discrepancy or missing/invalid footer is an error. *)
-let read_v2 c =
+(* One v2 payload: exactly [events] events filling the [plen] bytes at
+   [pos], delta state fresh. *)
+let decode_frame_events big ~frame_off ~pos ~plen ~events ~f =
   let ( let* ) = Result.bind in
-  let data = c.data in
-  let len = Bytes.length data in
-  let trace = Trace.create () in
+  let pc = { big; pos; limit = pos + plen } in
+  let st = fresh_state () in
+  let rec loop n =
+    if n = 0 then
+      if pc.pos = pc.limit then Ok ()
+      else Error (Printf.sprintf "frame payload length mismatch at offset %d" frame_off)
+    else
+      let* e = decode_event_big pc ~base:pos st in
+      f e;
+      loop (n - 1)
+  in
+  loop events
+
+(* --- the framed layout: one strict walk, one lenient walk -------------
+
+   v2 and the columnar v3 of {!Columnar} share everything outside a
+   frame's payload: "FRME" frames (event count, cumulative count,
+   payload length, CRC32 of the payload), then the checksummed "FEND"
+   footer.  Both walks below parse that layout and hand each
+   CRC-verified payload to the format's own decoder. *)
+
+let walk_frames c ~payload =
+  let ( let* ) = Result.bind in
+  let len = c.limit in
   let decoded = ref 0 in
   let frames = ref 0 in
   let rec loop () =
     if c.pos + 4 > len then
-      Error (Printf.sprintf "truncated file (missing footer) at offset %d" c.pos)
+      Error (Printf.sprintf "truncated file (missing footer) at offset %d" len)
     else begin
-      let marker = Bytes.sub_string data c.pos 4 in
+      let marker = Bigio.sub_string c.big ~pos:c.pos ~len:4 in
       c.pos <- c.pos + 4;
       if marker = frame_marker then begin
         let frame_off = c.pos - 4 in
         let* events = get_uvarint c in
         let* cum = get_uvarint c in
         let* plen = get_uvarint c in
-        let* crc = get_u32le c in
         let* () =
-          if c.pos + plen > len then
-            Error (Printf.sprintf "truncated frame payload at offset %d" c.pos)
+          if plen > len - c.pos then
+            Error
+              (Printf.sprintf "implausible frame payload length %d at offset %d" plen
+                 frame_off)
           else Ok ()
         in
         let* () =
+          (* Every event contributes at least one payload byte. *)
           if events > plen then
             Error
               (Printf.sprintf "implausible event count %d for %d payload bytes" events
@@ -300,24 +329,20 @@ let read_v2 c =
                  frame_off cum !decoded)
           else Ok ()
         in
+        let* crc = get_u32le c in
         let* () =
-          if Crc32.sub_bytes data ~pos:c.pos ~len:plen <> crc then
+          if plen > len - c.pos then
+            Error (Printf.sprintf "truncated frame payload at offset %d" frame_off)
+          else Ok ()
+        in
+        let* () =
+          if Crc32.sub_big c.big ~pos:c.pos ~len:plen <> crc then
             Error (Printf.sprintf "frame CRC mismatch at offset %d" frame_off)
           else Ok ()
         in
-        let limit = c.pos + plen in
-        let st = fresh_state () in
-        let rec events_loop remaining =
-          if remaining = 0 then
-            if c.pos = limit then Ok ()
-            else Error (Printf.sprintf "frame payload length mismatch at offset %d" frame_off)
-          else
-            let* e = decode_event c st in
-            Trace.add trace e;
-            incr decoded;
-            events_loop (remaining - 1)
-        in
-        let* () = events_loop events in
+        let* () = payload ~frame_off ~pos:c.pos ~plen ~events in
+        c.pos <- c.pos + plen;
+        decoded := !decoded + events;
         incr frames;
         loop ()
       end
@@ -328,7 +353,7 @@ let read_v2 c =
         let fend = c.pos in
         let* crc = get_u32le c in
         let* () =
-          if Crc32.sub_bytes data ~pos:fstart ~len:(fend - fstart) <> crc then
+          if Crc32.sub_big c.big ~pos:fstart ~len:(fend - fstart) <> crc then
             Error "footer CRC mismatch"
           else Ok ()
         in
@@ -343,114 +368,58 @@ let read_v2 c =
         in
         if c.pos <> len then
           Error (Printf.sprintf "trailing bytes after footer at offset %d" c.pos)
-        else Ok trace
+        else Ok ()
       end
       else Error (Printf.sprintf "bad frame marker at offset %d" (c.pos - 4))
     end
   in
   loop ()
 
-let check_header c =
-  let data = c.data in
-  let ( let* ) = Result.bind in
-  let* () =
-    if Bytes.length data < 4 then
-      Error
-        (Printf.sprintf "empty or truncated file (offset %d)" (Bytes.length data))
-    else if Bytes.sub_string data 0 4 <> magic then Error "bad magic"
-    else begin
-      c.pos <- 4;
-      Ok ()
-    end
-  in
-  get_uvarint c
-
-let read data =
-  let ( let* ) = Result.bind in
-  let c = { data; pos = 0 } in
-  let* v = check_header c in
-  if v = version then read_v1 c
-  else if v = version_framed then read_v2 c
-  else Error (Printf.sprintf "unsupported version %d" v)
-
-(* --- lenient framed decode --------------------------------------------
-
-   Best-effort recovery over a (possibly corrupted) v2 file: corrupt
-   frames are skipped by resynchronizing on the next frame/footer
-   marker, and because every good frame carries its cumulative event
-   count, the exact ranges of lost events are reported.  The surviving
-   trace is what callers hand to {!Sanitizer.sanitize} — dangling
-   frees/accesses from the lost ranges are then repaired there. *)
-
 type lost_range = { lost_from : int; lost_to : int }
 
-type lenient = {
-  lr_trace : Trace.t;
-  lr_lost : lost_range list;
-  lr_frames_ok : int;
-  lr_frames_skipped : int;
-  lr_total_events : int option;
-}
-
-let lenient_events_lost l =
-  List.fold_left (fun acc r -> acc + (r.lost_to - r.lost_from)) 0 l.lr_lost
-
-let pp_lost_range ppf r =
-  Format.fprintf ppf "events [%d, %d)" r.lost_from r.lost_to
-
-let read_lenient data =
+(* Best-effort recovery: a corrupt frame is skipped by resynchronizing
+   on the next frame/footer marker, and because every good frame
+   carries its cumulative event count, the exact ranges of lost events
+   are known.  A frame is kept only once its whole payload decodes. *)
+let walk_frames_lenient c ~payload ~keep =
   let ( let* ) = Result.bind in
-  let c = { data; pos = 0 } in
-  let* v = check_header c in
-  let* () =
-    if v = version_framed then Ok ()
-    else if v = version then Error "lenient decode requires a framed (v2) file"
-    else Error (Printf.sprintf "unsupported version %d" v)
-  in
-  let len = Bytes.length data in
-  let trace = Trace.create () in
+  let big = c.big and len = c.limit in
   let lost = ref [] in
   let orig = ref 0 in (* original-stream event index accounted for so far *)
   let ok_frames = ref 0 in
   let skipped = ref 0 in
   let total = ref None in
   let add_lost a b = if b > a then lost := { lost_from = a; lost_to = b } :: !lost in
-  let marker_at p = p + 4 <= len && (let m = Bytes.sub_string data p 4 in m = frame_marker || m = footer_marker) in
+  let marker_at p =
+    p + 4 <= len
+    && (let m = Bigio.sub_string big ~pos:p ~len:4 in
+        m = frame_marker || m = footer_marker)
+  in
   (* Resync: scan byte-by-byte for the next plausible marker. *)
   let rec scan p = if p + 4 > len then len else if marker_at p then p else scan (p + 1) in
   let try_frame p =
-    let c = { data; pos = p + 4 } in
+    let c = { big; pos = p + 4; limit = len } in
     let parse =
       let* events = get_uvarint c in
       let* cum = get_uvarint c in
       let* plen = get_uvarint c in
       let* crc = get_u32le c in
-      if c.pos + plen > len || events > plen then Error "bounds"
-      else if Crc32.sub_bytes data ~pos:c.pos ~len:plen <> crc then Error "crc"
-      else begin
-        let limit = c.pos + plen in
-        let st = fresh_state () in
-        let rec events_loop remaining acc =
-          if remaining = 0 then
-            if c.pos = limit then Ok (List.rev acc) else Error "length"
-          else
-            let* e = decode_event c st in
-            events_loop (remaining - 1) (e :: acc)
-        in
-        let* es = events_loop events [] in
-        Ok (es, cum, c.pos)
-      end
+      if plen > len - c.pos || events > plen then Error "bounds"
+      else if Crc32.sub_big big ~pos:c.pos ~len:plen <> crc then Error "crc"
+      else
+        let* frame = payload ~frame_off:p ~pos:c.pos ~plen ~events in
+        Ok (frame, events, cum, c.pos + plen)
     in
     Result.to_option parse
   in
   let try_footer p =
-    let c = { data; pos = p + 4 } in
+    let c = { big; pos = p + 4; limit = len } in
     let parse =
       let* _nframes = get_uvarint c in
       let* nevents = get_uvarint c in
       let fend = c.pos in
       let* crc = get_u32le c in
-      if Crc32.sub_bytes data ~pos:(p + 4) ~len:(fend - (p + 4)) <> crc then Error "crc"
+      if Crc32.sub_big big ~pos:(p + 4) ~len:(fend - (p + 4)) <> crc then Error "crc"
       else Ok nevents
     in
     Result.to_option parse
@@ -458,13 +427,13 @@ let read_lenient data =
   let rec loop p =
     if p + 4 > len then ()
     else
-      let m = Bytes.sub_string data p 4 in
+      let m = Bigio.sub_string big ~pos:p ~len:4 in
       if m = frame_marker then
         match try_frame p with
-        | Some (es, cum, next) when cum >= !orig ->
+        | Some (frame, events, cum, next) when cum >= !orig ->
           add_lost !orig cum;
-          List.iter (Trace.add trace) es;
-          orig := cum + List.length es;
+          keep frame;
+          orig := cum + events;
           incr ok_frames;
           loop next
         | _ ->
@@ -487,498 +456,89 @@ let read_lenient data =
       end
   in
   loop c.pos;
-  Ok
-    { lr_trace = trace;
-      lr_lost = List.rev !lost;
-      lr_frames_ok = !ok_frames;
-      lr_frames_skipped = !skipped;
-      lr_total_events = !total }
+  (List.rev !lost, !ok_frames, !skipped, !total)
 
-(* --- streaming decode -------------------------------------------------
+(* --- entry points ----------------------------------------------------- *)
 
-   Mirrors [read] but pulls bytes from a (stdlib-buffered) channel, so
-   decoding holds O(1) memory regardless of file size: no [bytes] copy
-   of the whole file, no materialized trace — each event is pushed to
-   the caller as soon as it is decoded.  For framed (v2) files the
-   optional [on_frame] callback fires after each frame's events; the
-   streaming engine uses it to align segment boundaries with frame
-   boundaries. *)
-
-let get_uvarint63_ch ic =
-  let rec go shift acc =
-    match input_char ic with
-    | exception End_of_file -> Error "truncated varint"
-    | ch ->
-      let b = Char.code ch in
-      let acc = acc lor ((b land 0x7f) lsl shift) in
-      if b land 0x80 = 0 then Ok acc
-      else if shift > 56 then Error "varint too long"
-      else go (shift + 7) acc
-  in
-  go 0 0
-
-let get_uvarint_ch ic =
-  match get_uvarint63_ch ic with
-  | Ok acc when acc < 0 -> Error "varint overflows"
-  | r -> r
-
-let get_varint_ch ic = Result.map unzigzag (get_uvarint63_ch ic)
-
-let iter_channel_v1 ic ~f =
-  let ( let* ) = Result.bind in
-  let* count = get_uvarint_ch ic in
-  let* () =
-    (* Same header-plausibility bound as [read]: at least one payload
-       byte per claimed event must remain in the channel. *)
-    match in_channel_length ic - pos_in ic with
-    | exception Sys_error _ -> Ok ()
-    | remaining ->
-      if count > remaining then
-        Error (Printf.sprintf "implausible event count %d for %d payload bytes" count remaining)
-      else Ok ()
-  in
-  let st = fresh_state () in
-  let rec events remaining =
-    if remaining = 0 then Ok ()
-    else
-      match input_char ic with
-      | exception End_of_file -> Error "truncated stream"
-      | tag_ch ->
-        let tag = Char.code tag_ch in
-        let* e =
-          match tag with
-          | 0 ->
-            let* dobj = get_varint_ch ic in
-            let* dsite = get_varint_ch ic in
-            let* dctx = get_varint_ch ic in
-            let* size = get_uvarint_ch ic in
-            let* thread = get_uvarint_ch ic in
-            st.obj <- st.obj + dobj;
-            st.site <- st.site + dsite;
-            st.ctx <- st.ctx + dctx;
-            Ok (Event.Alloc { obj = st.obj; site = st.site; ctx = st.ctx; size; thread })
-          | 1 | 2 ->
-            let* dobj = get_varint_ch ic in
-            let* offset = get_uvarint_ch ic in
-            let* thread = get_uvarint_ch ic in
-            st.obj <- st.obj + dobj;
-            Ok (Event.Access { obj = st.obj; offset; write = tag = 2; thread })
-          | 3 ->
-            let* dobj = get_varint_ch ic in
-            let* thread = get_uvarint_ch ic in
-            st.obj <- st.obj + dobj;
-            Ok (Event.Free { obj = st.obj; thread })
-          | 4 ->
-            let* dobj = get_varint_ch ic in
-            let* new_size = get_uvarint_ch ic in
-            let* thread = get_uvarint_ch ic in
-            st.obj <- st.obj + dobj;
-            Ok (Event.Realloc { obj = st.obj; new_size; thread })
-          | 5 ->
-            let* instrs = get_uvarint_ch ic in
-            let* thread = get_uvarint_ch ic in
-            Ok (Event.Compute { instrs; thread })
-          | t -> Error (Printf.sprintf "unknown tag %d at offset %d" t (pos_in ic - 1))
-        in
-        f e;
-        events (remaining - 1)
-  in
-  events count
-
-(* Channel-based strict v2 decode: each frame is read whole (bounded by
-   its declared payload length), CRC-checked, then decoded with the
-   bytes cursor — O(frame) memory. *)
-let iter_channel_v2 ?(on_frame = fun () -> ()) ic ~f =
-  let ( let* ) = Result.bind in
-  let decoded = ref 0 in
-  let frames = ref 0 in
-  let remaining () =
-    match in_channel_length ic - pos_in ic with
-    | exception Sys_error _ -> max_int
-    | r -> r
-  in
-  let rec loop () =
-    match really_input_string ic 4 with
-    | exception End_of_file ->
-      Error (Printf.sprintf "truncated file (missing footer) at offset %d" (pos_in ic))
-    | marker when marker = frame_marker ->
-      let frame_off = pos_in ic - 4 in
-      let* events = get_uvarint_ch ic in
-      let* cum = get_uvarint_ch ic in
-      let* plen = get_uvarint_ch ic in
-      let* () =
-        if plen > remaining () then
-          Error
-            (Printf.sprintf "implausible frame payload length %d at offset %d" plen
-               frame_off)
-        else Ok ()
-      in
-      let* () =
-        if events > plen then
-          Error
-            (Printf.sprintf "implausible event count %d for %d payload bytes" events plen)
-        else Ok ()
-      in
-      let* () =
-        if cum <> !decoded then
-          Error
-            (Printf.sprintf
-               "frame at offset %d claims cumulative count %d but %d events decoded"
-               frame_off cum !decoded)
-        else Ok ()
-      in
-      let crc_bytes = Bytes.create 4 in
-      let* () =
-        match really_input ic crc_bytes 0 4 with
-        | exception End_of_file -> Error "truncated checksum"
-        | () -> Ok ()
-      in
-      let b i = Char.code (Bytes.get crc_bytes i) in
-      let crc = b 0 lor (b 1 lsl 8) lor (b 2 lsl 16) lor (b 3 lsl 24) in
-      let payload = Bytes.create plen in
-      let* () =
-        match really_input ic payload 0 plen with
-        | exception End_of_file ->
-          Error (Printf.sprintf "truncated frame payload at offset %d" frame_off)
-        | () -> Ok ()
-      in
-      let* () =
-        if Crc32.bytes payload <> crc then
-          Error (Printf.sprintf "frame CRC mismatch at offset %d" frame_off)
-        else Ok ()
-      in
-      let c = { data = payload; pos = 0 } in
-      let st = fresh_state () in
-      let rec events_loop n =
-        if n = 0 then
-          if c.pos = plen then Ok ()
-          else Error (Printf.sprintf "frame payload length mismatch at offset %d" frame_off)
-        else
-          let* e = decode_event c st in
-          f e;
-          incr decoded;
-          events_loop (n - 1)
-      in
-      let* () = events_loop events in
-      incr frames;
-      on_frame ();
-      loop ()
-    | marker when marker = footer_marker ->
-      let fb = Buffer.create 16 in
-      let get_uvarint_copy () =
-        (* The footer CRC covers the totals' encoded bytes, so they are
-           re-captured as they are read. *)
-        let rec go shift acc =
-          match input_char ic with
-          | exception End_of_file -> Error "truncated varint"
-          | ch ->
-            Buffer.add_char fb ch;
-            let b = Char.code ch in
-            let acc = acc lor ((b land 0x7f) lsl shift) in
-            if b land 0x80 = 0 then
-              if acc < 0 then Error "varint overflows" else Ok acc
-            else if shift > 56 then Error "varint too long"
-            else go (shift + 7) acc
-        in
-        go 0 0
-      in
-      let* nframes = get_uvarint_copy () in
-      let* nevents = get_uvarint_copy () in
-      let crc_bytes = Bytes.create 4 in
-      let* () =
-        match really_input ic crc_bytes 0 4 with
-        | exception End_of_file -> Error "truncated checksum"
-        | () -> Ok ()
-      in
-      let b i = Char.code (Bytes.get crc_bytes i) in
-      let crc = b 0 lor (b 1 lsl 8) lor (b 2 lsl 16) lor (b 3 lsl 24) in
-      let* () =
-        if Crc32.string (Buffer.contents fb) <> crc then Error "footer CRC mismatch"
-        else Ok ()
-      in
-      let* () =
-        if nframes <> !frames || nevents <> !decoded then
-          Error
-            (Printf.sprintf
-               "footer totals (%d frames, %d events) disagree with stream (%d frames, \
-                %d events)"
-               nframes nevents !frames !decoded)
-        else Ok ()
-      in
-      (match input_char ic with
-      | exception End_of_file -> Ok ()
-      | _ -> Error (Printf.sprintf "trailing bytes after footer at offset %d" (pos_in ic - 1)))
-    | _ -> Error (Printf.sprintf "bad frame marker at offset %d" (pos_in ic - 4))
-  in
-  loop ()
-
-let iter_channel ?on_frame ic ~f =
+let check_header c =
   let ( let* ) = Result.bind in
   let* () =
-    match really_input_string ic 4 with
-    | exception End_of_file ->
-      Error (Printf.sprintf "empty or truncated file (offset %d)" (pos_in ic))
-    | m -> if m <> magic then Error "bad magic" else Ok ()
-  in
-  let* v = get_uvarint_ch ic in
-  if v = version then iter_channel_v1 ic ~f
-  else if v = version_framed then iter_channel_v2 ?on_frame ic ~f
-  else Error (Printf.sprintf "unsupported version %d" v)
-
-let iter_file ?on_frame path ~f =
-  let ic = open_in_bin path in
-  Fun.protect ~finally:(fun () -> close_in_noerr ic) (fun () -> iter_channel ?on_frame ic ~f)
-
-(* Container sniff: magic + version varint only.  Lets callers dispatch
-   between the event-interleaved decoders here and the columnar (v3)
-   decoder of {!Columnar} without reading the body. *)
-let file_version path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () ->
-      match really_input_string ic 4 with
-      | exception End_of_file ->
-        Error (Printf.sprintf "empty or truncated file (offset %d)" (pos_in ic))
-      | m -> if m <> magic then Error "bad magic" else get_uvarint_ch ic)
-
-(* --- mmap (bigstring) strict decode -----------------------------------
-
-   Twin of the channel decoders above over a {!Prefix_util.Bigio.t}
-   mapping: the whole container is addressable, so the frame walk, CRC
-   checks and event decode read straight from the mapped region — no
-   channel, no payload copy.  Deliberately duplicated rather than
-   functorized over the byte source: a functor would cost an indirect
-   call per byte fetch on this, the hottest decode loop in the repo.
-   Keep in sync with [decode_event] / [iter_channel_v1] /
-   [iter_channel_v2] above. *)
-
-type bigcursor = { big : Bigio.t; mutable bpos : int; blimit : int }
-
-let get_uvarint63_big c =
-  let rec go shift acc =
-    if c.bpos >= c.blimit then Error "truncated varint"
+    if c.limit < 4 then
+      Error (Printf.sprintf "empty or truncated file (offset %d)" c.limit)
+    else if Bigio.sub_string c.big ~pos:0 ~len:4 <> magic then Error "bad magic"
     else begin
-      let b = Char.code (Bigio.unsafe_get c.big c.bpos) in
-      c.bpos <- c.bpos + 1;
-      let acc = acc lor ((b land 0x7f) lsl shift) in
-      if b land 0x80 = 0 then Ok acc
-      else if shift > 56 then Error "varint too long"
-      else go (shift + 7) acc
-    end
-  in
-  go 0 0
-
-let get_uvarint_big c =
-  match get_uvarint63_big c with
-  | Ok acc when acc < 0 -> Error "varint overflows"
-  | r -> r
-
-let get_varint_big c = Result.map unzigzag (get_uvarint63_big c)
-
-let get_u32le_big c =
-  if c.bpos + 4 > c.blimit then Error "truncated checksum"
-  else begin
-    let b i = Char.code (Bigio.unsafe_get c.big (c.bpos + i)) in
-    let v = b 0 lor (b 1 lsl 8) lor (b 2 lsl 16) lor (b 3 lsl 24) in
-    c.bpos <- c.bpos + 4;
-    Ok v
-  end
-
-let big_sub_string big ~pos ~len = Bigio.sub_string big ~pos ~len
-
-(* [base] is subtracted from offsets in error strings so v2 payload
-   errors report payload-relative positions — exactly what the channel
-   decoder reports, since it hands each payload to a fresh bytes
-   cursor.  v1 passes [base = 0] (absolute offsets, like [pos_in]). *)
-let decode_event_big c ~base st =
-  let ( let* ) = Result.bind in
-  if c.bpos >= c.blimit then Error "truncated stream"
-  else begin
-    let tag = Char.code (Bigio.unsafe_get c.big c.bpos) in
-    c.bpos <- c.bpos + 1;
-    match tag with
-    | 0 ->
-      let* dobj = get_varint_big c in
-      let* dsite = get_varint_big c in
-      let* dctx = get_varint_big c in
-      let* size = get_uvarint_big c in
-      let* thread = get_uvarint_big c in
-      st.obj <- st.obj + dobj;
-      st.site <- st.site + dsite;
-      st.ctx <- st.ctx + dctx;
-      Ok (Event.Alloc { obj = st.obj; site = st.site; ctx = st.ctx; size; thread })
-    | 1 | 2 ->
-      let* dobj = get_varint_big c in
-      let* offset = get_uvarint_big c in
-      let* thread = get_uvarint_big c in
-      st.obj <- st.obj + dobj;
-      Ok (Event.Access { obj = st.obj; offset; write = tag = 2; thread })
-    | 3 ->
-      let* dobj = get_varint_big c in
-      let* thread = get_uvarint_big c in
-      st.obj <- st.obj + dobj;
-      Ok (Event.Free { obj = st.obj; thread })
-    | 4 ->
-      let* dobj = get_varint_big c in
-      let* new_size = get_uvarint_big c in
-      let* thread = get_uvarint_big c in
-      st.obj <- st.obj + dobj;
-      Ok (Event.Realloc { obj = st.obj; new_size; thread })
-    | 5 ->
-      let* instrs = get_uvarint_big c in
-      let* thread = get_uvarint_big c in
-      Ok (Event.Compute { instrs; thread })
-    | t -> Error (Printf.sprintf "unknown tag %d at offset %d" t (c.bpos - 1 - base))
-  end
-
-let iter_big_v1 c ~f =
-  let ( let* ) = Result.bind in
-  let* count = get_uvarint_big c in
-  let* () =
-    if count > c.blimit - c.bpos then
-      Error
-        (Printf.sprintf "implausible event count %d for %d payload bytes" count
-           (c.blimit - c.bpos))
-    else Ok ()
-  in
-  let st = fresh_state () in
-  let rec events remaining =
-    if remaining = 0 then Ok ()
-    else
-      let* e = decode_event_big c ~base:0 st in
-      f e;
-      events (remaining - 1)
-  in
-  events count
-
-let iter_big_v2 ?(on_frame = fun () -> ()) c ~f =
-  let ( let* ) = Result.bind in
-  let len = c.blimit in
-  let decoded = ref 0 in
-  let frames = ref 0 in
-  let rec loop () =
-    if c.bpos + 4 > len then
-      (* The channel twin consumes the (< 4) remaining bytes before
-         hitting [End_of_file], so it reports the file length. *)
-      Error (Printf.sprintf "truncated file (missing footer) at offset %d" len)
-    else begin
-      let marker = big_sub_string c.big ~pos:c.bpos ~len:4 in
-      c.bpos <- c.bpos + 4;
-      if marker = frame_marker then begin
-        let frame_off = c.bpos - 4 in
-        let* events = get_uvarint_big c in
-        let* cum = get_uvarint_big c in
-        let* plen = get_uvarint_big c in
-        let* () =
-          if plen > len - c.bpos then
-            Error
-              (Printf.sprintf "implausible frame payload length %d at offset %d" plen
-                 frame_off)
-          else Ok ()
-        in
-        let* () =
-          if events > plen then
-            Error
-              (Printf.sprintf "implausible event count %d for %d payload bytes" events
-                 plen)
-          else Ok ()
-        in
-        let* () =
-          if cum <> !decoded then
-            Error
-              (Printf.sprintf
-                 "frame at offset %d claims cumulative count %d but %d events decoded"
-                 frame_off cum !decoded)
-          else Ok ()
-        in
-        let* crc = get_u32le_big c in
-        let* () =
-          if c.bpos + plen > len then
-            Error (Printf.sprintf "truncated frame payload at offset %d" frame_off)
-          else Ok ()
-        in
-        let* () =
-          if Crc32.sub_big c.big ~pos:c.bpos ~len:plen <> crc then
-            Error (Printf.sprintf "frame CRC mismatch at offset %d" frame_off)
-          else Ok ()
-        in
-        let base = c.bpos in
-        let pc = { big = c.big; bpos = base; blimit = base + plen } in
-        let st = fresh_state () in
-        let rec events_loop n =
-          if n = 0 then
-            if pc.bpos = base + plen then Ok ()
-            else
-              Error
-                (Printf.sprintf "frame payload length mismatch at offset %d" frame_off)
-          else
-            let* e = decode_event_big pc ~base st in
-            f e;
-            incr decoded;
-            events_loop (n - 1)
-        in
-        let* () = events_loop events in
-        c.bpos <- base + plen;
-        incr frames;
-        on_frame ();
-        loop ()
-      end
-      else if marker = footer_marker then begin
-        let fstart = c.bpos in
-        let* nframes = get_uvarint_big c in
-        let* nevents = get_uvarint_big c in
-        let fend = c.bpos in
-        let* crc = get_u32le_big c in
-        let* () =
-          if Crc32.sub_big c.big ~pos:fstart ~len:(fend - fstart) <> crc then
-            Error "footer CRC mismatch"
-          else Ok ()
-        in
-        let* () =
-          if nframes <> !frames || nevents <> !decoded then
-            Error
-              (Printf.sprintf
-                 "footer totals (%d frames, %d events) disagree with stream (%d frames, \
-                  %d events)"
-                 nframes nevents !frames !decoded)
-          else Ok ()
-        in
-        if c.bpos <> len then
-          Error (Printf.sprintf "trailing bytes after footer at offset %d" c.bpos)
-        else Ok ()
-      end
-      else Error (Printf.sprintf "bad frame marker at offset %d" (c.bpos - 4))
-    end
-  in
-  loop ()
-
-let check_header_big c =
-  let ( let* ) = Result.bind in
-  let* () =
-    if c.blimit < 4 then
-      Error (Printf.sprintf "empty or truncated file (offset %d)" c.blimit)
-    else if big_sub_string c.big ~pos:0 ~len:4 <> magic then Error "bad magic"
-    else begin
-      c.bpos <- 4;
+      c.pos <- 4;
       Ok ()
     end
   in
-  get_uvarint_big c
+  get_uvarint c
 
-let iter_big ?on_frame big ~f =
+let big_version big = check_header (cursor big)
+
+let iter_big ?(on_frame = fun () -> ()) big ~f =
   let ( let* ) = Result.bind in
-  let c = { big; bpos = 0; blimit = Bigio.length big } in
-  let* v = check_header_big c in
+  let c = cursor big in
+  let* v = check_header c in
   if v = version then iter_big_v1 c ~f
-  else if v = version_framed then iter_big_v2 ?on_frame c ~f
+  else if v = version_framed then
+    walk_frames c ~payload:(fun ~frame_off ~pos ~plen ~events ->
+        let* () = decode_frame_events big ~frame_off ~pos ~plen ~events ~f in
+        on_frame ();
+        Ok ())
   else Error (Printf.sprintf "unsupported version %d" v)
 
-(* Container sniff over an already-loaded mapping — same contract as
-   {!file_version} without reopening the file. *)
-let big_version big =
-  let c = { big; bpos = 0; blimit = Bigio.length big } in
-  check_header_big c
+let decode_big big =
+  let trace = Trace.create () in
+  Result.map (fun () -> trace) (iter_big big ~f:(Trace.add trace))
+
+let read data = decode_big (Bigio.of_bytes data)
+
+let read_file path = decode_big (Bigio.load path)
+
+type lenient = {
+  lr_trace : Trace.t;
+  lr_lost : lost_range list;
+  lr_frames_ok : int;
+  lr_frames_skipped : int;
+  lr_total_events : int option;
+}
+
+let lenient_events_lost l =
+  List.fold_left (fun acc r -> acc + (r.lost_to - r.lost_from)) 0 l.lr_lost
+
+let pp_lost_range ppf r =
+  Format.fprintf ppf "events [%d, %d)" r.lost_from r.lost_to
+
+let lenient_big big =
+  let ( let* ) = Result.bind in
+  let c = cursor big in
+  let* v = check_header c in
+  let* () =
+    if v = version_framed then Ok ()
+    else if v = version then Error "lenient decode requires a framed (v2) file"
+    else Error (Printf.sprintf "unsupported version %d" v)
+  in
+  let trace = Trace.create () in
+  let lost, frames_ok, frames_skipped, total =
+    walk_frames_lenient c
+      ~payload:(fun ~frame_off ~pos ~plen ~events ->
+        let acc = ref [] in
+        Result.map
+          (fun () -> List.rev !acc)
+          (decode_frame_events big ~frame_off ~pos ~plen ~events ~f:(fun e ->
+               acc := e :: !acc)))
+      ~keep:(List.iter (Trace.add trace))
+  in
+  Ok
+    { lr_trace = trace;
+      lr_lost = lost;
+      lr_frames_ok = frames_ok;
+      lr_frames_skipped = frames_skipped;
+      lr_total_events = total }
+
+let read_lenient data = lenient_big (Bigio.of_bytes data)
+
+let read_file_lenient path = lenient_big (Bigio.load path)
 
 let write_file path trace =
   let oc = open_out_bin path in
@@ -993,17 +553,3 @@ let write_file path trace =
    never leaves a half-encoded file behind. *)
 let write_file_framed ?frame_events path trace =
   Prefix_util.Fsio.atomic_write path (fun buf -> write_framed ?frame_events buf trace)
-
-let with_file_data path k =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () ->
-      let len = in_channel_length ic in
-      let data = Bytes.create len in
-      really_input ic data 0 len;
-      k data)
-
-let read_file path = with_file_data path read
-
-let read_file_lenient path = with_file_data path read_lenient

@@ -26,8 +26,16 @@
     records the frame/event totals, making truncation detectable.  The
     strict readers reject any corruption; {!read_lenient} skips corrupt
     frames (resynchronizing on the frame marker) and reports exactly
-    which event ranges were lost.  Both versions are readable by
-    {!read} / {!iter_channel}. *)
+    which event ranges were lost.
+
+    {b One decoder.}  Every version — v1, v2 and the columnar v3 of
+    {!Columnar} — is decoded from a {!Prefix_util.Bigio.t} (a mapped
+    file, or a copy of in-memory bytes) through one {!cursor}.  The
+    framed layout of v2 and v3 is parsed by one strict walk
+    ({!walk_frames}) and one lenient walk ({!walk_frames_lenient});
+    each format passes in its payload decoder.  {!read} and
+    {!read_lenient} are thin wrappers over the same decoder, so they
+    report exactly the streaming decoder's errors. *)
 
 val magic : string
 (** ["PFXT"]. *)
@@ -70,8 +78,12 @@ val put_varint : Buffer.t -> int -> unit
 val put_u32le : Buffer.t -> int -> unit
 (** Append a 32-bit little-endian word (checksums). *)
 
-type cursor = { data : bytes; mutable pos : int }
-(** A decode position inside a byte buffer; getters advance [pos]. *)
+type cursor = { big : Prefix_util.Bigio.t; mutable pos : int; limit : int }
+(** A decode position inside a byte region: getters read [big] from
+    [pos] (advancing it) and never past [limit]. *)
+
+val cursor : Prefix_util.Bigio.t -> cursor
+(** A cursor over the whole region, at offset 0. *)
 
 val get_uvarint : cursor -> (int, string) result
 (** Decode an unsigned varint; [Error] on truncation, a value beyond 9
@@ -96,9 +108,10 @@ val to_bytes_framed : ?frame_events:int -> Trace.t -> bytes
 
 val read : bytes -> (Trace.t, string) result
 (** Decode either format version; [Error] on bad magic, version,
-    truncation, malformed varints, or (v2) any CRC/footer mismatch.
-    An input shorter than the magic reports
-    ["empty or truncated file (offset N)"]. *)
+    truncation, malformed varints, or (v2) any CRC/footer mismatch —
+    with exactly {!iter_big}'s message, since it copies the bytes into a
+    bigstring and runs that decoder.  An input shorter than the magic
+    reports ["empty or truncated file (offset N)"]. *)
 
 val write_file : string -> Trace.t -> unit
 (** v1 file writer (kept for compatibility). *)
@@ -108,6 +121,8 @@ val write_file_framed : ?frame_events:int -> string -> Trace.t -> unit
     rename so a crash never leaves a truncated trace behind. *)
 
 val read_file : string -> (Trace.t, string) result
+(** {!read} over the mapped file ({!Prefix_util.Bigio.load}); raises
+    [Sys_error] if the file cannot be opened. *)
 
 (** {2 Lenient framed decode} *)
 
@@ -135,6 +150,7 @@ val read_lenient : bytes -> (lenient, string) result
     lost ranges leave behind. *)
 
 val read_file_lenient : string -> (lenient, string) result
+(** {!read_lenient} over the mapped file. *)
 
 val lenient_events_lost : lenient -> int
 (** Total events in [lr_lost]. *)
@@ -143,40 +159,52 @@ val pp_lost_range : Format.formatter -> lost_range -> unit
 
 (** {2 Streaming decode} *)
 
-val iter_channel :
-  ?on_frame:(unit -> unit) -> in_channel -> f:(Event.t -> unit) -> (unit, string) result
-(** Streaming decode straight off a (buffered) channel: [f] is called
-    once per event, no trace and no whole-file copy is materialized
-    (v2 holds one frame at a time).  Stops at the first corruption with
-    the same errors as {!read}; an empty channel reports
+val iter_big :
+  ?on_frame:(unit -> unit) -> Prefix_util.Bigio.t -> f:(Event.t -> unit) ->
+  (unit, string) result
+(** Strict v1/v2 decode over a mapped container: [f] is called once per
+    event, no trace is materialized.  Stops at the first corruption;
+    an input shorter than the magic reports
     ["empty or truncated file (offset N)"].  For v2 input [on_frame]
     fires after each frame's events (never for v1) — the streaming
     engine uses it to cut segments exactly at frame boundaries. *)
 
-val iter_file :
-  ?on_frame:(unit -> unit) -> string -> f:(Event.t -> unit) -> (unit, string) result
-(** {!iter_channel} over a freshly opened binary file (always closed).
-    Raises [Sys_error] if the file cannot be opened. *)
-
-val file_version : string -> (int, string) result
-(** Sniff a file's container version (magic + version varint only):
-    1/2 are the formats decoded here, {!Columnar.version_columnar} is
-    the columnar container.  [Error] on bad magic or truncation; raises
-    [Sys_error] if the file cannot be opened. *)
-
-(** {2 Zero-copy (mmap) strict decode}
-
-    Twins of {!iter_channel} running over a {!Prefix_util.Bigio.t}
-    mapping of the whole container: the frame walk, CRC checks and
-    event decode read straight from the mapped region — no channel and
-    no payload copy.  Same events, same rejections as the channel
-    path (differentially tested). *)
-
-val iter_big :
-  ?on_frame:(unit -> unit) -> Prefix_util.Bigio.t -> f:(Event.t -> unit) ->
-  (unit, string) result
-(** Strict v1/v2 decode over a mapped container; [on_frame] fires after
-    each v2 frame's events, exactly like {!iter_channel}. *)
-
 val big_version : Prefix_util.Bigio.t -> (int, string) result
-(** {!file_version} over an already-loaded mapping. *)
+(** Sniff a container's version (magic + version varint only): 1/2 are
+    the formats decoded here, {!Columnar.version_columnar} is the
+    columnar container.  [Error] on bad magic or truncation. *)
+
+(** {2 The framed layout}
+
+    What v2 and v3 share: ["FRME"] frames (event count, cumulative
+    count, payload length, CRC32 of the payload) and the checksummed
+    ["FEND"] footer.  Each format's decoder reads its header with
+    {!check_header} and hands its payload decoder to one of the two
+    walks below; [payload ~frame_off ~pos ~plen ~events] decodes the
+    CRC-verified [plen] bytes at [pos] of the cursor's region, which
+    must hold exactly [events] events ([frame_off] is the frame
+    marker's offset, for error messages). *)
+
+val check_header : cursor -> (int, string) result
+(** Check the magic and read the version varint, leaving the cursor
+    just after the header. *)
+
+val walk_frames :
+  cursor ->
+  payload:(frame_off:int -> pos:int -> plen:int -> events:int -> (unit, string) result) ->
+  (unit, string) result
+(** Strict walk from the cursor to the end of its region: [Error] on the
+    first bad marker, implausible or truncated frame, cumulative-count
+    or CRC mismatch, payload error, footer disagreement or trailing
+    byte. *)
+
+val walk_frames_lenient :
+  cursor ->
+  payload:(frame_off:int -> pos:int -> plen:int -> events:int -> ('a, string) result) ->
+  keep:('a -> unit) ->
+  lost_range list * int * int * int option
+(** Best-effort walk: a frame whose header, CRC or payload fails is
+    skipped by scanning for the next marker; [keep] receives each
+    recovered frame in stream order.  Returns the lost ranges
+    (ascending), the frames kept, the resynchronizations and the footer
+    total ([None] without a valid footer). *)

@@ -4,9 +4,10 @@
    event-at-a-time state machine that boxes an [Event.t] per event.
    This container keeps the frame/footer machinery of v2 verbatim —
    same "FRME" header (event count, cumulative count, payload length,
-   CRC32), same checksummed "FEND" footer, so crash safety, strict
-   rejection and lenient marker-resync carry over — but each frame's
-   payload is column-oriented:
+   CRC32), same checksummed "FEND" footer, parsed by the same strict
+   and lenient walks of {!Binfmt}, so crash safety, strict rejection
+   and lenient marker-resync carry over — but each frame's payload is
+   column-oriented:
 
      1. tag index        n_runs, then (tag byte, run length) pairs —
                          run-length encoded, and exactly the run
@@ -34,6 +35,7 @@
    and must still round-trip. *)
 
 module Crc32 = Prefix_util.Crc32
+module Bigio = Prefix_util.Bigio
 
 let magic = Binfmt.magic
 let version_columnar = 3
@@ -315,14 +317,14 @@ let fail msg = raise (Corrupt msg)
    (valid until the next decode into [d]).  All structural claims are
    validated, so a bit-flipped payload that somehow passes the CRC still
    cannot crash the caller or fabricate out-of-range columns. *)
-let decode_payload d data ~pos:pos0 ~plen ~n_events =
+let decode_payload_big d (data : Bigio.t) ~pos:pos0 ~plen ~n_events =
   try
     let limit = pos0 + plen in
-    if limit > Bytes.length data then fail "truncated frame payload";
+    if limit > Bigio.length data then fail "truncated frame payload";
     let pos = ref pos0 in
     let u8 () =
       if !pos >= limit then fail "truncated column";
-      let b = Char.code (Bytes.unsafe_get data !pos) in
+      let b = Char.code (Bigio.unsafe_get data !pos) in
       incr pos;
       b
     in
@@ -339,7 +341,7 @@ let decode_payload d data ~pos:pos0 ~plen ~n_events =
       while !more do
         if !shift > 56 then fail "varint too long";
         if !p >= limit then fail "truncated column";
-        let b = Char.code (Bytes.unsafe_get data !p) in
+        let b = Char.code (Bigio.unsafe_get data !p) in
         incr p;
         acc := !acc lor ((b land 0x7f) lsl !shift);
         shift := !shift + 7;
@@ -351,7 +353,7 @@ let decode_payload d data ~pos:pos0 ~plen ~n_events =
     let uv () =
       let p = !pos in
       if p >= limit then fail "truncated column";
-      let b = Char.code (Bytes.unsafe_get data p) in
+      let b = Char.code (Bigio.unsafe_get data p) in
       if b < 0x80 then begin
         pos := p + 1;
         b
@@ -365,7 +367,7 @@ let decode_payload d data ~pos:pos0 ~plen ~n_events =
     let sv () =
       let p = !pos in
       if p >= limit then fail "truncated column";
-      let b = Char.code (Bytes.unsafe_get data p) in
+      let b = Char.code (Bigio.unsafe_get data p) in
       let acc =
         if b < 0x80 then begin
           pos := p + 1;
@@ -514,30 +516,30 @@ let decode_payload d data ~pos:pos0 ~plen ~n_events =
          ~fc:fc_a ~thread:thread_a)
   with Corrupt msg -> Error msg
 
-(* ---- strict whole-file decode ---------------------------------------- *)
+(* ---- decode: the framed walks of {!Binfmt} over a mapping ---------- *)
 
-let get_uvarint = Binfmt.get_uvarint
-let get_u32le = Binfmt.get_u32le
-
-let check_header (c : Binfmt.cursor) =
+let check_header c =
   let ( let* ) = Result.bind in
-  let data = c.Binfmt.data in
-  let* () =
-    if Bytes.length data < 4 then
-      Error (Printf.sprintf "empty or truncated file (offset %d)" (Bytes.length data))
-    else if Bytes.sub_string data 0 4 <> magic then Error "bad magic"
-    else begin
-      c.Binfmt.pos <- 4;
-      Ok ()
-    end
-  in
-  let* v = get_uvarint c in
+  let* v = Binfmt.check_header c in
   if v <> version_columnar then
     Error (Printf.sprintf "unsupported version %d (columnar is %d)" v version_columnar)
   else Ok ()
 
-(* Concatenate per-frame copies into one packed trace. *)
-let concat_chunks chunks total =
+(* Strict frame-at-a-time walk: markers, CRCs and column bytes all read
+   from the mapping, no payload copy at all. *)
+let iter_big ?(decoder = decoder_create ()) big ~f =
+  let ( let* ) = Result.bind in
+  let c = Binfmt.cursor big in
+  let* () = check_header c in
+  Binfmt.walk_frames c ~payload:(fun ~frame_off:_ ~pos ~plen ~events ->
+      let* frame = decode_payload_big decoder big ~pos ~plen ~n_events:events in
+      f frame;
+      Ok ())
+
+(* Concatenate per-frame copies, newest first, into one packed trace. *)
+let concat_chunks chunks =
+  let chunks = List.rev chunks in
+  let total = List.fold_left (fun n p -> n + Packed.length p) 0 chunks in
   let tag = Array.make total 0
   and obj = Array.make total 0
   and fa = Array.make total 0
@@ -555,7 +557,7 @@ let concat_chunks chunks total =
       Array.blit p.Packed.fc 0 fc !off n;
       Array.blit p.Packed.thread 0 thread !off n;
       off := !off + n)
-    (List.rev chunks);
+    chunks;
   Packed.of_arrays ~len:total ~tag ~obj ~fa ~fb ~fc ~thread
 
 (* Copy a decoded frame out of the decoder scratch (materializing
@@ -570,89 +572,15 @@ let copy_frame (p : Packed.t) =
     ~fc:(Array.sub p.Packed.fc 0 n)
     ~thread:(Array.sub p.Packed.thread 0 n)
 
-let read data =
-  let ( let* ) = Result.bind in
-  let c = { Binfmt.data; pos = 0 } in
-  let* () = check_header c in
-  let len = Bytes.length data in
-  let d = decoder_create () in
+let decode_big big =
   let chunks = ref [] in
-  let decoded = ref 0 in
-  let frames = ref 0 in
-  let rec loop () =
-    if c.Binfmt.pos + 4 > len then
-      Error (Printf.sprintf "truncated file (missing footer) at offset %d" c.Binfmt.pos)
-    else begin
-      let marker = Bytes.sub_string data c.Binfmt.pos 4 in
-      c.Binfmt.pos <- c.Binfmt.pos + 4;
-      if marker = frame_marker then begin
-        let frame_off = c.Binfmt.pos - 4 in
-        let* events = get_uvarint c in
-        let* cum = get_uvarint c in
-        let* plen = get_uvarint c in
-        let* crc = get_u32le c in
-        let* () =
-          if c.Binfmt.pos + plen > len then
-            Error (Printf.sprintf "truncated frame payload at offset %d" c.Binfmt.pos)
-          else Ok ()
-        in
-        let* () =
-          (* Every event contributes at least one byte to some value
-             column (obj delta or Compute instrs). *)
-          if events > plen then
-            Error
-              (Printf.sprintf "implausible event count %d for %d payload bytes" events
-                 plen)
-          else Ok ()
-        in
-        let* () =
-          if cum <> !decoded then
-            Error
-              (Printf.sprintf
-                 "frame at offset %d claims cumulative count %d but %d events decoded"
-                 frame_off cum !decoded)
-          else Ok ()
-        in
-        let* () =
-          if Crc32.sub_bytes data ~pos:c.Binfmt.pos ~len:plen <> crc then
-            Error (Printf.sprintf "frame CRC mismatch at offset %d" frame_off)
-          else Ok ()
-        in
-        let* frame = decode_payload d data ~pos:c.Binfmt.pos ~plen ~n_events:events in
-        chunks := copy_frame frame :: !chunks;
-        decoded := !decoded + events;
-        incr frames;
-        c.Binfmt.pos <- c.Binfmt.pos + plen;
-        loop ()
-      end
-      else if marker = footer_marker then begin
-        let fstart = c.Binfmt.pos in
-        let* nframes = get_uvarint c in
-        let* nevents = get_uvarint c in
-        let fend = c.Binfmt.pos in
-        let* crc = get_u32le c in
-        let* () =
-          if Crc32.sub_bytes data ~pos:fstart ~len:(fend - fstart) <> crc then
-            Error "footer CRC mismatch"
-          else Ok ()
-        in
-        let* () =
-          if nframes <> !frames || nevents <> !decoded then
-            Error
-              (Printf.sprintf
-                 "footer totals (%d frames, %d events) disagree with stream (%d frames, \
-                  %d events)"
-                 nframes nevents !frames !decoded)
-          else Ok ()
-        in
-        if c.Binfmt.pos <> len then
-          Error (Printf.sprintf "trailing bytes after footer at offset %d" c.Binfmt.pos)
-        else Ok (concat_chunks !chunks !decoded)
-      end
-      else Error (Printf.sprintf "bad frame marker at offset %d" (c.Binfmt.pos - 4))
-    end
-  in
-  loop ()
+  Result.map
+    (fun () -> concat_chunks !chunks)
+    (iter_big big ~f:(fun frame -> chunks := copy_frame frame :: !chunks))
+
+let read data = decode_big (Bigio.of_bytes data)
+
+let read_file path = decode_big (Bigio.load path)
 
 (* ---- lenient decode --------------------------------------------------- *)
 
@@ -669,581 +597,25 @@ let lenient_events_lost l =
     (fun acc (r : Binfmt.lost_range) -> acc + (r.lost_to - r.lost_from))
     0 l.cl_lost
 
-let read_lenient data =
+let lenient_big big =
   let ( let* ) = Result.bind in
-  let c = { Binfmt.data; pos = 0 } in
+  let c = Binfmt.cursor big in
   let* () = check_header c in
-  let len = Bytes.length data in
   let d = decoder_create () in
   let chunks = ref [] in
-  let kept = ref 0 in
-  let lost = ref [] in
-  let orig = ref 0 in
-  let ok_frames = ref 0 in
-  let skipped = ref 0 in
-  let total = ref None in
-  let add_lost a b =
-    if b > a then lost := { Binfmt.lost_from = a; lost_to = b } :: !lost
+  let lost, frames_ok, frames_skipped, total =
+    Binfmt.walk_frames_lenient c
+      ~payload:(fun ~frame_off:_ ~pos ~plen ~events ->
+        Result.map copy_frame (decode_payload_big d big ~pos ~plen ~n_events:events))
+      ~keep:(fun frame -> chunks := frame :: !chunks)
   in
-  let marker_at p =
-    p + 4 <= len
-    && (let m = Bytes.sub_string data p 4 in
-        m = frame_marker || m = footer_marker)
-  in
-  let rec scan p = if p + 4 > len then len else if marker_at p then p else scan (p + 1) in
-  let try_frame p =
-    let c = { Binfmt.data; pos = p + 4 } in
-    let parse =
-      let* events = get_uvarint c in
-      let* cum = get_uvarint c in
-      let* plen = get_uvarint c in
-      let* crc = get_u32le c in
-      if c.Binfmt.pos + plen > len || events > plen then Error "bounds"
-      else if Crc32.sub_bytes data ~pos:c.Binfmt.pos ~len:plen <> crc then Error "crc"
-      else
-        let* frame = decode_payload d data ~pos:c.Binfmt.pos ~plen ~n_events:events in
-        Ok (copy_frame frame, cum, c.Binfmt.pos + plen)
-    in
-    Result.to_option parse
-  in
-  let try_footer p =
-    let c = { Binfmt.data; pos = p + 4 } in
-    let parse =
-      let* _nframes = get_uvarint c in
-      let* nevents = get_uvarint c in
-      let fend = c.Binfmt.pos in
-      let* crc = get_u32le c in
-      if Crc32.sub_bytes data ~pos:(p + 4) ~len:(fend - (p + 4)) <> crc then Error "crc"
-      else Ok nevents
-    in
-    Result.to_option parse
-  in
-  let rec loop p =
-    if p + 4 > len then ()
-    else
-      let m = Bytes.sub_string data p 4 in
-      if m = frame_marker then
-        match try_frame p with
-        | Some (frame, cum, next) when cum >= !orig ->
-          add_lost !orig cum;
-          chunks := frame :: !chunks;
-          kept := !kept + Packed.length frame;
-          orig := cum + Packed.length frame;
-          incr ok_frames;
-          loop next
-        | _ ->
-          incr skipped;
-          loop (scan (p + 1))
-      else if m = footer_marker then begin
-        match try_footer p with
-        | Some nevents when nevents >= !orig ->
-          add_lost !orig nevents;
-          orig := nevents;
-          total := Some nevents
-        | _ ->
-          incr skipped;
-          loop (scan (p + 1))
-      end
-      else begin
-        incr skipped;
-        loop (scan (p + 1))
-      end
-  in
-  loop c.Binfmt.pos;
   Ok
-    { cl_packed = concat_chunks !chunks !kept;
-      cl_lost = List.rev !lost;
-      cl_frames_ok = !ok_frames;
-      cl_frames_skipped = !skipped;
-      cl_total_events = !total }
+    { cl_packed = concat_chunks !chunks;
+      cl_lost = lost;
+      cl_frames_ok = frames_ok;
+      cl_frames_skipped = frames_skipped;
+      cl_total_events = total }
 
-(* ---- streaming decode ------------------------------------------------- *)
+let read_lenient data = lenient_big (Bigio.of_bytes data)
 
-(* Strict frame-at-a-time walk off a channel: O(frame) memory, the
-   callback's packed view shares the decoder scratch and is only valid
-   for the duration of the call. *)
-let iter_channel ?(decoder = decoder_create ()) ic ~f =
-  let ( let* ) = Result.bind in
-  let* () =
-    match really_input_string ic 4 with
-    | exception End_of_file ->
-      Error (Printf.sprintf "empty or truncated file (offset %d)" (pos_in ic))
-    | m -> if m <> magic then Error "bad magic" else Ok ()
-  in
-  let get_uv () =
-    let rec go shift acc =
-      match input_char ic with
-      | exception End_of_file -> Error "truncated varint"
-      | ch ->
-        let b = Char.code ch in
-        let acc = acc lor ((b land 0x7f) lsl shift) in
-        if b land 0x80 = 0 then if acc < 0 then Error "varint overflows" else Ok acc
-        else if shift > 56 then Error "varint too long"
-        else go (shift + 7) acc
-    in
-    go 0 0
-  in
-  let* v = get_uv () in
-  let* () =
-    if v <> version_columnar then
-      Error (Printf.sprintf "unsupported version %d (columnar is %d)" v version_columnar)
-    else Ok ()
-  in
-  let remaining () =
-    match in_channel_length ic - pos_in ic with
-    | exception Sys_error _ -> max_int
-    | r -> r
-  in
-  let decoded = ref 0 in
-  let frames = ref 0 in
-  let payload = ref Bytes.empty in
-  let rec loop () =
-    match really_input_string ic 4 with
-    | exception End_of_file ->
-      Error (Printf.sprintf "truncated file (missing footer) at offset %d" (pos_in ic))
-    | marker when marker = frame_marker ->
-      let frame_off = pos_in ic - 4 in
-      let* events = get_uv () in
-      let* cum = get_uv () in
-      let* plen = get_uv () in
-      let* () =
-        if plen > remaining () then
-          Error
-            (Printf.sprintf "implausible frame payload length %d at offset %d" plen
-               frame_off)
-        else Ok ()
-      in
-      let* () =
-        if events > plen then
-          Error
-            (Printf.sprintf "implausible event count %d for %d payload bytes" events plen)
-        else Ok ()
-      in
-      let* () =
-        if cum <> !decoded then
-          Error
-            (Printf.sprintf
-               "frame at offset %d claims cumulative count %d but %d events decoded"
-               frame_off cum !decoded)
-        else Ok ()
-      in
-      let crc_bytes = Bytes.create 4 in
-      let* () =
-        match really_input ic crc_bytes 0 4 with
-        | exception End_of_file -> Error "truncated checksum"
-        | () -> Ok ()
-      in
-      let b i = Char.code (Bytes.get crc_bytes i) in
-      let crc = b 0 lor (b 1 lsl 8) lor (b 2 lsl 16) lor (b 3 lsl 24) in
-      if Bytes.length !payload < plen then payload := Bytes.create (grow_to plen (Bytes.length !payload));
-      let* () =
-        match really_input ic !payload 0 plen with
-        | exception End_of_file ->
-          Error (Printf.sprintf "truncated frame payload at offset %d" frame_off)
-        | () -> Ok ()
-      in
-      let* () =
-        if Crc32.sub_bytes !payload ~pos:0 ~len:plen <> crc then
-          Error (Printf.sprintf "frame CRC mismatch at offset %d" frame_off)
-        else Ok ()
-      in
-      let* frame = decode_payload decoder !payload ~pos:0 ~plen ~n_events:events in
-      f frame;
-      decoded := !decoded + events;
-      incr frames;
-      loop ()
-    | marker when marker = footer_marker ->
-      let fb = Buffer.create 16 in
-      let get_uvarint_copy () =
-        let rec go shift acc =
-          match input_char ic with
-          | exception End_of_file -> Error "truncated varint"
-          | ch ->
-            Buffer.add_char fb ch;
-            let b = Char.code ch in
-            let acc = acc lor ((b land 0x7f) lsl shift) in
-            if b land 0x80 = 0 then
-              if acc < 0 then Error "varint overflows" else Ok acc
-            else if shift > 56 then Error "varint too long"
-            else go (shift + 7) acc
-        in
-        go 0 0
-      in
-      let* nframes = get_uvarint_copy () in
-      let* nevents = get_uvarint_copy () in
-      let crc_bytes = Bytes.create 4 in
-      let* () =
-        match really_input ic crc_bytes 0 4 with
-        | exception End_of_file -> Error "truncated checksum"
-        | () -> Ok ()
-      in
-      let b i = Char.code (Bytes.get crc_bytes i) in
-      let crc = b 0 lor (b 1 lsl 8) lor (b 2 lsl 16) lor (b 3 lsl 24) in
-      let* () =
-        if Crc32.string (Buffer.contents fb) <> crc then Error "footer CRC mismatch"
-        else Ok ()
-      in
-      let* () =
-        if nframes <> !frames || nevents <> !decoded then
-          Error
-            (Printf.sprintf
-               "footer totals (%d frames, %d events) disagree with stream (%d frames, \
-                %d events)"
-               nframes nevents !frames !decoded)
-        else Ok ()
-      in
-      (match input_char ic with
-      | exception End_of_file -> Ok ()
-      | _ ->
-        Error (Printf.sprintf "trailing bytes after footer at offset %d" (pos_in ic - 1)))
-    | _ -> Error (Printf.sprintf "bad frame marker at offset %d" (pos_in ic - 4))
-  in
-  loop ()
-
-let iter_file ?decoder path ~f =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> iter_channel ?decoder ic ~f)
-
-(* ---- mmap (bigstring) streaming decode -------------------------------- *)
-
-module Bigio = Prefix_util.Bigio
-
-(* Twin of [decode_payload] reading column bytes straight out of a
-   {!Bigio.t} mapping — the columnar hot path with zero payload copies.
-   Deliberately duplicated rather than functorized over the byte
-   source: the varint fast path runs two-to-three times per event and
-   an indirect call per byte would dominate.  Keep in sync with
-   [decode_payload] above. *)
-let decode_payload_big d (data : Bigio.t) ~pos:pos0 ~plen ~n_events =
-  try
-    let limit = pos0 + plen in
-    if limit > Bigio.length data then fail "truncated frame payload";
-    let pos = ref pos0 in
-    let u8 () =
-      if !pos >= limit then fail "truncated column";
-      let b = Char.code (Bigio.unsafe_get data !pos) in
-      incr pos;
-      b
-    in
-    let slow_tail first_byte =
-      let acc = ref (first_byte land 0x7f) in
-      let shift = ref 7 in
-      let p = ref (!pos + 1) in
-      let more = ref true in
-      while !more do
-        if !shift > 56 then fail "varint too long";
-        if !p >= limit then fail "truncated column";
-        let b = Char.code (Bigio.unsafe_get data !p) in
-        incr p;
-        acc := !acc lor ((b land 0x7f) lsl !shift);
-        shift := !shift + 7;
-        if b land 0x80 = 0 then more := false
-      done;
-      pos := !p;
-      !acc
-    in
-    let uv () =
-      let p = !pos in
-      if p >= limit then fail "truncated column";
-      let b = Char.code (Bigio.unsafe_get data p) in
-      if b < 0x80 then begin
-        pos := p + 1;
-        b
-      end
-      else begin
-        let acc = slow_tail b in
-        if acc < 0 then fail "varint overflows";
-        acc
-      end
-    in
-    let sv () =
-      let p = !pos in
-      if p >= limit then fail "truncated column";
-      let b = Char.code (Bigio.unsafe_get data p) in
-      let acc =
-        if b < 0x80 then begin
-          pos := p + 1;
-          b
-        end
-        else slow_tail b
-      in
-      (acc lsr 1) lxor (- (acc land 1))
-    in
-    ensure_cap d n_events;
-    let tag_a = d.d_tag
-    and obj_a = d.d_obj
-    and fa_a = d.d_fa
-    and fb_a = d.d_fb
-    and fc_a = d.d_fc
-    and thread_a = d.d_thread in
-    (* 1. tag runs *)
-    let n_runs = uv () in
-    if n_runs > n_events then fail "implausible run count";
-    ensure_runs d n_runs;
-    let runs_tag = d.runs_tag and runs_len = d.runs_len in
-    let filled = ref 0 in
-    let n_alloc = ref 0 and n_access = ref 0 in
-    Array.fill d.tr_n 0 5 0;
-    for r = 0 to n_runs - 1 do
-      let t = u8 () in
-      if t > Packed.tag_compute then fail "bad tag in run index";
-      let rl = uv () in
-      if rl <= 0 || !filled + rl > n_events then fail "tag runs overflow event count";
-      runs_tag.(r) <- t;
-      runs_len.(r) <- rl;
-      Array.fill tag_a !filled rl t;
-      let tn = Array.unsafe_get d.tr_n t in
-      Array.unsafe_set (Array.unsafe_get d.tr_off t) tn !filled;
-      Array.unsafe_set (Array.unsafe_get d.tr_len t) tn rl;
-      Array.unsafe_set d.tr_n t (tn + 1);
-      if t = Packed.tag_alloc then n_alloc := !n_alloc + rl
-      else if t = Packed.tag_access then n_access := !n_access + rl;
-      filled := !filled + rl
-    done;
-    if !filled <> n_events then fail "tag runs disagree with event count";
-    (* 2. site dictionary *)
-    let n_sites = uv () in
-    if n_sites > !n_alloc then fail "implausible dictionary size";
-    ensure_dict d n_sites;
-    let dict = d.dict in
-    let prev = ref 0 in
-    for s = 0 to n_sites - 1 do
-      prev := !prev + sv ();
-      dict.(s) <- !prev
-    done;
-    (* 3. obj column (Compute rows are implicitly 0) *)
-    let prev_obj = ref 0 in
-    let off = ref 0 in
-    for r = 0 to n_runs - 1 do
-      let rl = Array.unsafe_get runs_len r in
-      if Array.unsafe_get runs_tag r = Packed.tag_compute then
-        Array.fill obj_a !off rl 0
-      else
-        for k = !off to !off + rl - 1 do
-          prev_obj := !prev_obj + sv ();
-          Array.unsafe_set obj_a k !prev_obj
-        done;
-      off := !off + rl
-    done;
-    let iter_runs tag fill =
-      let offs = Array.unsafe_get d.tr_off tag
-      and lens = Array.unsafe_get d.tr_len tag in
-      for r = 0 to Array.unsafe_get d.tr_n tag - 1 do
-        fill (Array.unsafe_get offs r) (Array.unsafe_get lens r)
-      done
-    in
-    (* 4. alloc sites (dictionary indices) -> fa *)
-    iter_runs Packed.tag_alloc (fun off rl ->
-        for k = off to off + rl - 1 do
-          let ix = uv () in
-          if ix >= n_sites then fail "site index out of dictionary range";
-          Array.unsafe_set fa_a k (Array.unsafe_get dict ix)
-        done);
-    (* 5. alloc sizes -> fb *)
-    iter_runs Packed.tag_alloc (fun off rl ->
-        for k = off to off + rl - 1 do
-          Array.unsafe_set fb_a k (sv ())
-        done);
-    (* 6. alloc ctxs (delta-chained) -> fc *)
-    let prev_ctx = ref 0 in
-    iter_runs Packed.tag_alloc (fun off rl ->
-        for k = off to off + rl - 1 do
-          prev_ctx := !prev_ctx + sv ();
-          Array.unsafe_set fc_a k !prev_ctx
-        done);
-    (* 7. access offsets -> fa *)
-    iter_runs Packed.tag_access (fun off rl ->
-        for k = off to off + rl - 1 do
-          Array.unsafe_set fa_a k (sv ())
-        done);
-    (* 8. access write flags (bit-packed) -> fb *)
-    let bitn = ref 0 in
-    let wcur = ref 0 in
-    iter_runs Packed.tag_access (fun off rl ->
-        for k = off to off + rl - 1 do
-          if !bitn land 7 = 0 then wcur := u8 ();
-          Array.unsafe_set fb_a k ((!wcur lsr (!bitn land 7)) land 1);
-          incr bitn
-        done);
-    (* 9. realloc new sizes -> fa *)
-    iter_runs Packed.tag_realloc (fun off rl ->
-        for k = off to off + rl - 1 do
-          Array.unsafe_set fa_a k (sv ())
-        done);
-    (* 10. compute instrs -> fa *)
-    iter_runs Packed.tag_compute (fun off rl ->
-        for k = off to off + rl - 1 do
-          Array.unsafe_set fa_a k (sv ())
-        done);
-    iter_runs Packed.tag_access (fun off rl -> Array.fill fc_a off rl 0);
-    iter_runs Packed.tag_free (fun off rl ->
-        Array.fill fa_a off rl 0;
-        Array.fill fb_a off rl 0;
-        Array.fill fc_a off rl 0);
-    iter_runs Packed.tag_realloc (fun off rl ->
-        Array.fill fb_a off rl 0;
-        Array.fill fc_a off rl 0);
-    iter_runs Packed.tag_compute (fun off rl ->
-        Array.fill fb_a off rl 0;
-        Array.fill fc_a off rl 0);
-    (* 11. thread runs *)
-    let n_truns = uv () in
-    if n_truns > n_events then fail "implausible thread run count";
-    let toff = ref 0 in
-    for _ = 1 to n_truns do
-      let th = sv () in
-      let rl = uv () in
-      if rl <= 0 || !toff + rl > n_events then fail "thread runs overflow event count";
-      Array.fill thread_a !toff rl th;
-      toff := !toff + rl
-    done;
-    if !toff <> n_events then fail "thread runs disagree with event count";
-    if !pos <> limit then fail "frame payload length mismatch";
-    Ok
-      (Packed.of_arrays ~len:n_events ~tag:tag_a ~obj:obj_a ~fa:fa_a ~fb:fb_a
-         ~fc:fc_a ~thread:thread_a)
-  with Corrupt msg -> Error msg
-
-(* Strict frame-at-a-time walk over an mmapped container: markers, CRCs
-   and column bytes all read from the mapping, no payload copy at all.
-   Same validation and error reporting as [iter_channel]. *)
-let iter_big ?(decoder = decoder_create ()) (big : Bigio.t) ~f =
-  let ( let* ) = Result.bind in
-  let len = Bigio.length big in
-  let pos = ref 0 in
-  let get_uv () =
-    let rec go shift acc =
-      if !pos >= len then Error "truncated varint"
-      else begin
-        let b = Char.code (Bigio.unsafe_get big !pos) in
-        incr pos;
-        let acc = acc lor ((b land 0x7f) lsl shift) in
-        if b land 0x80 = 0 then if acc < 0 then Error "varint overflows" else Ok acc
-        else if shift > 56 then Error "varint too long"
-        else go (shift + 7) acc
-      end
-    in
-    go 0 0
-  in
-  let get_u32 () =
-    if !pos + 4 > len then Error "truncated checksum"
-    else begin
-      let b i = Char.code (Bigio.unsafe_get big (!pos + i)) in
-      let v = b 0 lor (b 1 lsl 8) lor (b 2 lsl 16) lor (b 3 lsl 24) in
-      pos := !pos + 4;
-      Ok v
-    end
-  in
-  let* () =
-    if len < 4 then Error (Printf.sprintf "empty or truncated file (offset %d)" len)
-    else if Bigio.sub_string big ~pos:0 ~len:4 <> magic then Error "bad magic"
-    else begin
-      pos := 4;
-      Ok ()
-    end
-  in
-  let* v = get_uv () in
-  let* () =
-    if v <> version_columnar then
-      Error (Printf.sprintf "unsupported version %d (columnar is %d)" v version_columnar)
-    else Ok ()
-  in
-  let decoded = ref 0 in
-  let frames = ref 0 in
-  let rec loop () =
-    if !pos + 4 > len then
-      (* The channel twin consumes the (< 4) remaining bytes before
-         hitting [End_of_file], so it reports the file length. *)
-      Error (Printf.sprintf "truncated file (missing footer) at offset %d" len)
-    else begin
-      let marker = Bigio.sub_string big ~pos:!pos ~len:4 in
-      pos := !pos + 4;
-      if marker = frame_marker then begin
-        let frame_off = !pos - 4 in
-        let* events = get_uv () in
-        let* cum = get_uv () in
-        let* plen = get_uv () in
-        let* () =
-          if plen > len - !pos then
-            Error
-              (Printf.sprintf "implausible frame payload length %d at offset %d" plen
-                 frame_off)
-          else Ok ()
-        in
-        let* () =
-          if events > plen then
-            Error
-              (Printf.sprintf "implausible event count %d for %d payload bytes" events
-                 plen)
-          else Ok ()
-        in
-        let* () =
-          if cum <> !decoded then
-            Error
-              (Printf.sprintf
-                 "frame at offset %d claims cumulative count %d but %d events decoded"
-                 frame_off cum !decoded)
-          else Ok ()
-        in
-        let* crc = get_u32 () in
-        let* () =
-          if !pos + plen > len then
-            Error (Printf.sprintf "truncated frame payload at offset %d" frame_off)
-          else Ok ()
-        in
-        let* () =
-          if Crc32.sub_big big ~pos:!pos ~len:plen <> crc then
-            Error (Printf.sprintf "frame CRC mismatch at offset %d" frame_off)
-          else Ok ()
-        in
-        let* frame = decode_payload_big decoder big ~pos:!pos ~plen ~n_events:events in
-        f frame;
-        decoded := !decoded + events;
-        incr frames;
-        pos := !pos + plen;
-        loop ()
-      end
-      else if marker = footer_marker then begin
-        let fstart = !pos in
-        let* nframes = get_uv () in
-        let* nevents = get_uv () in
-        let fend = !pos in
-        let* crc = get_u32 () in
-        let* () =
-          if Crc32.sub_big big ~pos:fstart ~len:(fend - fstart) <> crc then
-            Error "footer CRC mismatch"
-          else Ok ()
-        in
-        let* () =
-          if nframes <> !frames || nevents <> !decoded then
-            Error
-              (Printf.sprintf
-                 "footer totals (%d frames, %d events) disagree with stream (%d frames, \
-                  %d events)"
-                 nframes nevents !frames !decoded)
-          else Ok ()
-        in
-        if !pos <> len then
-          Error (Printf.sprintf "trailing bytes after footer at offset %d" !pos)
-        else Ok ()
-      end
-      else Error (Printf.sprintf "bad frame marker at offset %d" (!pos - 4))
-    end
-  in
-  loop ()
-
-let with_file_data path k =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () ->
-      let len = in_channel_length ic in
-      let data = Bytes.create len in
-      really_input ic data 0 len;
-      k data)
-
-let read_file path = with_file_data path read
-
-let read_file_lenient path = with_file_data path read_lenient
+let read_file_lenient path = lenient_big (Bigio.load path)

@@ -9,9 +9,11 @@
     flags) column per field.  See [doc/columnar.md] for the exact
     byte layout.
 
-    Because the frame machinery is shared, crash safety (truncation is
-    detected by the footer), strict rejection of corruption, and
-    marker-resync lenient recovery all behave exactly as for v2; and
+    The frame machinery is shared — both containers are parsed by
+    {!Binfmt.walk_frames} and {!Binfmt.walk_frames_lenient} over a
+    {!Prefix_util.Bigio.t} — so crash safety (truncation is detected by
+    the footer), strict rejection of corruption, and marker-resync
+    lenient recovery behave exactly as for v2; and
     {!Stream.of_binary_file} cuts stream segments at frame boundaries
     for either container.
 
@@ -65,9 +67,12 @@ val read : bytes -> (Packed.t, string) result
     footer mismatch, and on every structural violation inside a frame
     payload (tag/thread runs that disagree with the event count, site
     indices outside the dictionary, column bytes left over or missing).
-    Never raises on arbitrary input. *)
+    Copies the bytes into a bigstring and runs {!iter_big}, so the
+    errors are its errors.  Never raises on arbitrary input. *)
 
 val read_file : string -> (Packed.t, string) result
+(** {!read} over the mapped file; raises [Sys_error] if the file cannot
+    be opened. *)
 
 (** {2 Lenient decode} *)
 
@@ -88,6 +93,7 @@ val read_lenient : bytes -> (lenient, string) result
     header itself is unusable. *)
 
 val read_file_lenient : string -> (lenient, string) result
+(** {!read_lenient} over the mapped file. *)
 
 val lenient_events_lost : lenient -> int
 
@@ -100,22 +106,12 @@ type decoder
 
 val decoder_create : unit -> decoder
 
-val iter_channel :
-  ?decoder:decoder -> in_channel -> f:(Packed.t -> unit) -> (unit, string) result
-(** Strict frame-at-a-time walk: [f] receives each frame as a packed
-    view {e sharing the decoder scratch} — valid only for the duration
-    of the call, never to be retained.  O(frame) memory; same errors
-    as {!read}. *)
-
-val iter_file :
-  ?decoder:decoder -> string -> f:(Packed.t -> unit) -> (unit, string) result
-(** {!iter_channel} over a freshly opened file (always closed); raises
-    [Sys_error] if the file cannot be opened. *)
-
 val iter_big :
   ?decoder:decoder -> Prefix_util.Bigio.t -> f:(Packed.t -> unit) ->
   (unit, string) result
-(** {!iter_channel} over an mmapped container ({!Prefix_util.Bigio}):
-    markers, CRCs and column bytes all read straight from the mapping —
-    no channel, no payload copy.  Same validation, same errors, and the
-    same scratch-sharing contract for the frames handed to [f]. *)
+(** Strict frame-at-a-time walk over a mapped container
+    ({!Prefix_util.Bigio}): markers, CRCs and column bytes all read
+    straight from the mapping, no payload copy.  [f] receives each frame
+    as a packed view {e sharing the decoder scratch} — valid only for
+    the duration of the call, never to be retained.  Same errors as
+    {!read}. *)

@@ -99,15 +99,14 @@ let of_text_file ?segment_events path =
    header: v1/v2 take the event-at-a-time {!Binfmt} decoder, v3 the
    columnar one — whole decoded frames are blitted into the segment
    buffer, never boxed per event. *)
-let of_binary_file ?(segment_events = default_segment_events) ?(backend = `Mmap)
-    path =
+let of_binary_file ?(segment_events = default_segment_events) path =
   check_segment_events ~who:"Stream.of_binary_file" segment_events;
-  (* The segment buffer, frame-decode scratch and (mmap backend) file
-     mapping are cached on the stream value and shared by successive
-     passes (scratch is fully rewritten on each one), so re-iteration
-     costs no re-allocation and no re-mapping.  Like the buffer reuse
-     itself, this assumes one iteration of a given [t] at a time —
-     iterate a fresh stream per domain. *)
+  (* The segment buffer, frame-decode scratch and file mapping are
+     cached on the stream value and shared by successive passes
+     (scratch is fully rewritten on each one), so re-iteration costs no
+     re-allocation and no re-mapping.  Like the buffer reuse itself,
+     this assumes one iteration of a given [t] at a time — iterate a
+     fresh stream per domain. *)
   let buf = lazy (Packed.Buf.create segment_events) in
   let decoder = lazy (Columnar.decoder_create ()) in
   let big = lazy (Prefix_util.Bigio.load path) in
@@ -144,27 +143,16 @@ let of_binary_file ?(segment_events = default_segment_events) ?(backend = `Mmap)
       Packed.Buf.add buf e;
       if Packed.Buf.is_full buf then flush ()
     in
+    let big = Lazy.force big in
+    let columnar =
+      match Binfmt.big_version big with
+      | Ok v -> v = Columnar.version_columnar
+      | Error msg -> failwith (path ^ ": " ^ msg)
+    in
     let result =
-      match backend with
-      | `Mmap ->
-        let big = Lazy.force big in
-        let columnar =
-          match Binfmt.big_version big with
-          | Ok v -> v = Columnar.version_columnar
-          | Error msg -> failwith (path ^ ": " ^ msg)
-        in
-        if columnar then
-          Columnar.iter_big ~decoder:(Lazy.force decoder) big ~f:on_columnar_frame
-        else Binfmt.iter_big big ~on_frame:flush ~f:on_event
-      | `Channel ->
-        let columnar =
-          match Binfmt.file_version path with
-          | Ok v -> v = Columnar.version_columnar
-          | Error msg -> failwith (path ^ ": " ^ msg)
-        in
-        if columnar then
-          Columnar.iter_file ~decoder:(Lazy.force decoder) path ~f:on_columnar_frame
-        else Binfmt.iter_file path ~on_frame:flush ~f:on_event
+      if columnar then
+        Columnar.iter_big ~decoder:(Lazy.force decoder) big ~f:on_columnar_frame
+      else Binfmt.iter_big big ~on_frame:flush ~f:on_event
     in
     match result with
     | Ok () -> flush ()

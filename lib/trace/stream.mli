@@ -51,8 +51,7 @@ val of_text_file : ?segment_events:int -> string -> t
     [Failure "<path>: line N: ..."] on a malformed line and [Sys_error]
     if the file cannot be opened (checked on each pass). *)
 
-val of_binary_file :
-  ?segment_events:int -> ?backend:[ `Mmap | `Channel ] -> string -> t
+val of_binary_file : ?segment_events:int -> string -> t
 (** Streams a binary trace file through a fixed refill buffer,
     auto-detecting the container from the header: Binfmt v1/v2 decode
     event-at-a-time, the columnar v3 container decodes whole frames
@@ -62,14 +61,10 @@ val of_binary_file :
     segment boundaries — and therefore checkpoint boundaries —
     coincide with the file's integrity-check units.
 
-    [backend] selects the byte source (segments are identical either
-    way): [`Mmap] (default) maps the whole file once
-    ({!Prefix_util.Bigio}) and decodes straight from the mapping — no
-    channel, no payload copies, and re-iteration costs no re-read;
-    [`Channel] is the buffered-[in_channel] decode path (what PR 8
-    shipped), kept for benchmarking and for inputs where mapping is
-    undesirable.  [`Mmap] falls back to reading the file into memory
-    when it cannot be mapped.
+    The file is mapped once ({!Prefix_util.Bigio.load}) on the first
+    pass and decoded straight from the mapping, with no payload copies;
+    re-iteration costs no re-read.  A file that cannot be mapped is
+    read into memory instead.
 
     Iterating raises [Failure] on corruption, [Sys_error] on open
     failure. *)

@@ -1,12 +1,12 @@
 (* Memory-mapped (or read-into) bigstring file access.
 
-   The trace decoders want the whole container addressable as one flat
-   byte region so frame walks and payload decodes touch no channel and
-   copy no bytes.  [load] maps the file with [Unix.map_file] when it
-   can; inputs that cannot be mapped (pipes, some filesystems, or an
-   explicit [~mmap:false]) fall back to reading the file chunk-wise
-   into a freshly allocated bigstring, which preserves the same
-   interface at the cost of one copy. *)
+   The trace decoder wants the whole container addressable as one flat
+   byte region so frame walks and payload decodes copy no bytes.
+   [load] maps the file with [Unix.map_file] when it can; inputs that
+   cannot be mapped (pipes, some filesystems, or an explicit
+   [~mmap:false]) fall back to reading the file chunk-wise into a
+   freshly allocated bigstring, which preserves the same interface at
+   the cost of one copy. *)
 
 type t = (char, Bigarray.int8_unsigned_elt, Bigarray.c_layout) Bigarray.Array1.t
 
@@ -38,8 +38,7 @@ let read_into_big fd size : t =
 
 let load ?(mmap = true) path : t =
   let fd =
-    (* [Sys_error], matching what [open_in_bin] raises on the channel
-       decode path, so backends fail identically on a missing file. *)
+    (* [Sys_error], matching what [open_in_bin] raises. *)
     try Unix.openfile path [ Unix.O_RDONLY ] 0
     with Unix.Unix_error (e, _, _) ->
       raise (Sys_error (path ^ ": " ^ Unix.error_message e))
@@ -57,8 +56,16 @@ let load ?(mmap = true) path : t =
         | exception _ -> read_into_big fd size
       else read_into_big fd size)
 
+let of_bytes data : t =
+  let n = Bytes.length data in
+  let big = Bigarray.Array1.create Bigarray.char Bigarray.c_layout n in
+  for i = 0 to n - 1 do
+    Bigarray.Array1.unsafe_set big i (Bytes.unsafe_get data i)
+  done;
+  big
+
 let sub_string (b : t) ~pos ~len =
-  if pos < 0 || len < 0 || pos + len > length b then
+  if pos < 0 || len < 0 || len > length b - pos then
     invalid_arg "Bigio.sub_string";
   String.init len (fun i -> Bigarray.Array1.unsafe_get b (pos + i))
 

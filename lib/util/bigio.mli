@@ -1,9 +1,8 @@
 (** Memory-mapped file access as a flat bigstring.
 
-    Backs the zero-copy trace decode path: the whole container file is
-    addressable as one byte region, so frame walks, CRC checks and
-    payload decodes read straight from the mapping without channels or
-    intermediate copies. *)
+    Backs the trace decoder: the whole container file is addressable as
+    one byte region, so frame walks, CRC checks and payload decodes
+    read straight from the mapping without intermediate copies. *)
 
 type t = (char, Bigarray.int8_unsigned_elt, Bigarray.c_layout) Bigarray.Array1.t
 
@@ -18,6 +17,10 @@ val load : ?mmap:bool -> string -> t
     Raises [Sys_error] if the file cannot be opened (same exception as
     [open_in]) and [Failure] on a short read in fallback mode. *)
 
+val of_bytes : bytes -> t
+(** A fresh bigstring holding a copy of the bytes — how in-memory
+    containers reach the decoder. *)
+
 val length : t -> int
 
 val get : t -> int -> char
@@ -29,6 +32,5 @@ val sub_string : t -> pos:int -> len:int -> string
 (** Raises [Invalid_argument] when the slice is out of bounds. *)
 
 val to_bytes : t -> bytes
-(** Copy the whole region into fresh [bytes] — used by the lenient
-    (corruption-recovery) decode path, which is rare and not worth a
-    bigstring twin. *)
+(** Copy the whole region into fresh [bytes] (tests compare loads with
+    it). *)

@@ -19,7 +19,7 @@ let update crc b =
   (crc lsr 8) lxor t.((crc lxor b) land 0xff)
 
 let sub_bytes data ~pos ~len =
-  if pos < 0 || len < 0 || pos + len > Bytes.length data then
+  if pos < 0 || len < 0 || len > Bytes.length data - pos then
     invalid_arg "Crc32.sub_bytes";
   let t = Lazy.force table in
   let crc = ref 0xFFFFFFFF in
@@ -29,10 +29,10 @@ let sub_bytes data ~pos ~len =
   done;
   !crc lxor 0xFFFFFFFF
 
-(* Same loop over a bigstring region — the mmap-backed decode path
-   checks frame CRCs without copying the payload out of the mapping. *)
+(* Same loop over a bigstring region — the trace decoder checks frame
+   CRCs without copying the payload out of the mapping. *)
 let sub_big (data : Bigio.t) ~pos ~len =
-  if pos < 0 || len < 0 || pos + len > Bigio.length data then
+  if pos < 0 || len < 0 || len > Bigio.length data - pos then
     invalid_arg "Crc32.sub_big";
   let t = Lazy.force table in
   let crc = ref 0xFFFFFFFF in

@@ -319,7 +319,7 @@ let test_stream_of_binary_file_frame_boundaries () =
   let frame_events = 512 in
   with_columnar_file ~frame_events (Packed.of_trace trace) (fun path ->
       Alcotest.(check (result int string)) "version sniff" (Ok 3)
-        (Binfmt.file_version path);
+        (Binfmt.big_version (Prefix_util.Bigio.load path));
       let stream = Stream.of_binary_file ~segment_events:frame_events path in
       let seen = ref 0 in
       Stream.iter_segments stream (fun ~base seg ->

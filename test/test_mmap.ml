@@ -1,16 +1,15 @@
-(* Tests for the zero-copy (mmap) decode path and the replay pipeline:
+(* Tests for the mapped-bytes decode path and the replay pipeline:
 
    - [Bigio]: mapped and read-fallback loads are byte-identical, empty
-     files yield the empty region, slicing is bounds-checked;
-   - differential decode: for every container version (v1, v2, v3) the
-     bigstring decoders ([Binfmt.iter_big], [Columnar.iter_big], the
-     [`Mmap] stream backend) observe exactly the events, frame cuts,
-     strict rejections and lenient lost ranges of the channel decoders
-     — on clean files, qcheck event soup and corrupted bytes alike;
+     files yield the empty region, slicing is bounds-checked (also
+     against slices whose end wraps around);
+   - the one decoder: a golden corpus pins every strict, [read] and
+     lenient outcome on clean, truncated and byte-flipped v1/v2/v3
+     containers, and [Stream.of_binary_file] segments concatenate to
+     the trace and cut at every frame boundary;
    - pipeline equivalence: [Stream.prefetched] emits its inner
-     stream's exact segment sequence, [Executor.run_stream_many]
-     matches per-policy [Executor.run_stream] outcome-for-outcome, and
-     [Executor.probe_widening] never changes an outcome. *)
+     stream's exact segment sequence, and [Executor.run_stream_many]
+     matches per-policy [Executor.run_stream] outcome-for-outcome. *)
 
 open Prefix_trace
 module Bigio = Prefix_util.Bigio
@@ -68,50 +67,37 @@ let test_bigio_sub_string () =
             [ (-1, 2); (0, 15); (14, 1); (7, max_int) ])
         [ true; false ])
 
+(* [pos + len] wraps around for a slice starting near [max_int]; the
+   bounds check must not, or the copy reads far outside the mapping. *)
+let test_bigio_sub_string_wrapping () =
+  with_file (Bytes.of_string "hello, mapping") (fun path ->
+      let b = Bigio.load path in
+      match Bigio.sub_string b ~pos:(max_int - 2) ~len:5 with
+      | _ -> Alcotest.fail "wrapping slice accepted"
+      | exception Invalid_argument _ -> ())
+
 let test_bigio_missing_file () =
   match Bigio.load "/nonexistent/prefix-bigio-test" with
   | _ -> Alcotest.fail "loaded a nonexistent file"
   | exception Sys_error _ -> ()
 
-(* ---- differential decode: channel vs mapping ---- *)
+(* ---- the one decoder ---- *)
 
-(* Collect what a v1/v2 decode observes, tagging frame cuts, so the
-   comparison covers segmentation, not just the event list. *)
-type obs = Ev of Event.t | Frame
-
-let binfmt_channel_obs path =
-  let acc = ref [] in
-  let r =
-    Binfmt.iter_file ~on_frame:(fun () -> acc := Frame :: !acc) path
-      ~f:(fun e -> acc := Ev e :: !acc)
-  in
-  (r, List.rev !acc)
-
-let binfmt_big_obs big =
-  let acc = ref [] in
-  let r =
-    Binfmt.iter_big ~on_frame:(fun () -> acc := Frame :: !acc) big
-      ~f:(fun e -> acc := Ev e :: !acc)
-  in
-  (r, List.rev !acc)
-
-let check_binfmt_same what data =
-  with_file data (fun path ->
-      let ch = binfmt_channel_obs path in
-      List.iter
-        (fun mmap ->
-          let bg = binfmt_big_obs (Bigio.load ~mmap path) in
-          if ch <> bg then
-            Alcotest.failf "%s (mmap:%b): channel and bigstring decodes differ"
-              what mmap)
-        [ true; false ])
-
-let test_binfmt_big_clean () =
-  let trace = workload_trace () in
-  check_binfmt_same "v1" (Binfmt.to_bytes trace);
-  check_binfmt_same "v2" (Binfmt.to_bytes_framed trace);
-  check_binfmt_same "v2, small frames" (Binfmt.to_bytes_framed ~frame_events:17 trace);
-  check_binfmt_same "empty trace" (Binfmt.to_bytes_framed (Trace.of_list []))
+let test_golden_decode () =
+  let rows = Golden_decode.rows () in
+  let got = String.concat "" (List.map (fun (r : Golden_decode.row) -> r.line ^ "\n") rows) in
+  let ic = open_in_bin "golden_decode.expected" in
+  let expected = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  Alcotest.(check string) "decode golden" expected got;
+  List.iter
+    (fun (r : Golden_decode.row) ->
+      match r.read_error with
+      | Some m when Some m <> r.strict_error ->
+        Alcotest.failf "%s: read reports %S, the streaming decoder %s" r.line m
+          (match r.strict_error with Some e -> Printf.sprintf "%S" e | None -> "accepts")
+      | _ -> ())
+    rows
 
 let test_big_version () =
   let trace = workload_trace () in
@@ -119,42 +105,12 @@ let test_big_version () =
     (fun (what, data, version) ->
       with_file data (fun path ->
           Alcotest.(check (result int string)) what (Ok version)
-            (Binfmt.big_version (Bigio.load path));
-          Alcotest.(check (result int string)) (what ^ " = file_version")
-            (Binfmt.file_version path)
             (Binfmt.big_version (Bigio.load path))))
     [ ("v1", Binfmt.to_bytes trace, Binfmt.version);
       ("v2", Binfmt.to_bytes_framed trace, Binfmt.version_framed);
       ( "v3",
         Columnar.to_bytes (Packed.of_trace trace),
         Columnar.version_columnar ) ]
-
-let columnar_channel_frames path =
-  let acc = ref [] in
-  let r = Columnar.iter_file path ~f:(fun p -> acc := Packed.to_trace p :: !acc) in
-  (r, List.rev_map Trace.to_list !acc)
-
-let columnar_big_frames big =
-  let acc = ref [] in
-  let r = Columnar.iter_big big ~f:(fun p -> acc := Packed.to_trace p :: !acc) in
-  (r, List.rev_map Trace.to_list !acc)
-
-let check_columnar_same what data =
-  with_file data (fun path ->
-      let ch = columnar_channel_frames path in
-      List.iter
-        (fun mmap ->
-          let bg = columnar_big_frames (Bigio.load ~mmap path) in
-          if ch <> bg then
-            Alcotest.failf "%s (mmap:%b): channel and bigstring decodes differ"
-              what mmap)
-        [ true; false ])
-
-let test_columnar_big_clean () =
-  let p = Packed.of_trace (workload_trace ()) in
-  check_columnar_same "v3" (Columnar.to_bytes p);
-  check_columnar_same "v3, small frames" (Columnar.to_bytes ~frame_events:23 p);
-  check_columnar_same "v3, empty" (Columnar.to_bytes (Packed.of_trace (Trace.of_list [])))
 
 let soup_gen =
   QCheck.Gen.(
@@ -178,42 +134,6 @@ let soup_gen =
             Event.Compute { instrs = int_range (-100) 100 st; thread = int_range (-2) 2 st }) ]
     in
     list_size (int_range 0 300) ev)
-
-(* Corruption differential: flip bytes / truncate, then require the
-   channel and bigstring strict decoders to agree on the full
-   observation — same events, same frame cuts, same rejection (by
-   message) or acceptance. *)
-let corrupt_gen base =
-  let n = Bytes.length base in
-  QCheck.Gen.(
-    pair
-      (list_size (int_range 0 6) (pair (int_range 0 (max 0 (n - 1))) (int_range 0 255)))
-      (int_range 0 n))
-
-let corrupted base (flips, keep) =
-  let data = Bytes.sub base 0 keep in
-  List.iter (fun (pos, v) -> if pos < keep then Bytes.set data pos (Char.chr v)) flips;
-  data
-
-let prop_binfmt_big_differential =
-  let base = Binfmt.to_bytes_framed ~frame_events:32 (workload_trace ()) in
-  QCheck.Test.make ~name:"binfmt bigstring decode ≡ channel decode under corruption"
-    ~count:250
-    (QCheck.make (corrupt_gen base))
-    (fun c ->
-      with_file (corrupted base c) (fun path ->
-          binfmt_channel_obs path = binfmt_big_obs (Bigio.load path)))
-
-let prop_columnar_big_differential =
-  let base =
-    Columnar.to_bytes ~frame_events:32 (Packed.of_trace (workload_trace ()))
-  in
-  QCheck.Test.make
-    ~name:"columnar bigstring decode ≡ channel decode under corruption" ~count:250
-    (QCheck.make (corrupt_gen base))
-    (fun c ->
-      with_file (corrupted base c) (fun path ->
-          columnar_channel_frames path = columnar_big_frames (Bigio.load path)))
 
 (* The v2 writer encodes ids/sizes as unsigned varints, so feed it
    non-negative soup (the signed extremes are covered by the columnar
@@ -241,24 +161,29 @@ let unsigned_soup_gen =
     in
     list_size (int_range 0 300) ev)
 
-let prop_stream_backends_agree =
-  QCheck.Test.make ~name:"stream `Mmap backend ≡ `Channel backend (v2 and v3)"
-    ~count:120 (QCheck.make unsigned_soup_gen)
+(* [of_binary_file]'s segmentation contract on 48-event frames read as
+   64-event segments: the segments concatenate to the trace, none
+   exceeds its declared size, and every frame boundary is a cut. *)
+let prop_stream_segments =
+  QCheck.Test.make
+    ~name:"of_binary_file segments the trace at frame cuts (v2 and v3)" ~count:120
+    (QCheck.make unsigned_soup_gen)
     (fun es ->
       let trace = Trace.of_list es in
-      let same data =
+      let frame_starts = List.init ((List.length es + 47) / 48) (fun k -> 48 * k) in
+      let ok data =
         with_file data (fun path ->
-            let segs backend =
-              let acc = ref [] in
-              Stream.iter_segments
-                (Stream.of_binary_file ~segment_events:64 ~backend path)
-                (fun ~base seg -> acc := (base, Trace.to_list (Packed.to_trace seg)) :: !acc);
-              List.rev !acc
-            in
-            segs `Mmap = segs `Channel)
+            let segs = ref [] in
+            Stream.iter_segments (Stream.of_binary_file ~segment_events:64 path)
+              (fun ~base seg -> segs := (base, Trace.to_list (Packed.to_trace seg)) :: !segs);
+            let segs = List.rev !segs in
+            let bases = List.map fst segs in
+            List.concat_map snd segs = es
+            && List.for_all (fun (_, seg) -> List.length seg <= 64) segs
+            && List.for_all (fun b -> List.mem b bases) frame_starts)
       in
-      same (Binfmt.to_bytes_framed ~frame_events:48 trace)
-      && same (Columnar.to_bytes ~frame_events:48 (Packed.of_trace trace)))
+      ok (Binfmt.to_bytes_framed ~frame_events:48 trace)
+      && ok (Columnar.to_bytes ~frame_events:48 (Packed.of_trace trace)))
 
 (* ---- pipeline equivalence ---- *)
 
@@ -365,26 +290,6 @@ let prop_run_stream_many_strict_raises_same =
       in
       solo = fanned)
 
-let test_probe_widening_equal () =
-  List.iter
-    (fun name ->
-      let wl = Prefix_workloads.Registry.find name in
-      let p =
-        Packed.of_trace (wl.generate ~scale:Prefix_workloads.Workload.Profiling ~seed:5 ())
-      in
-      let outcome on =
-        Executor.probe_widening := on;
-        Fun.protect
-          ~finally:(fun () -> Executor.probe_widening := true)
-          (fun () -> Executor.run_packed ~policy:baseline p)
-      in
-      let wide = outcome true and narrow = outcome false in
-      Alcotest.(check bool) (name ^ ": metrics") true
-        (wide.Executor.metrics = narrow.Executor.metrics);
-      Alcotest.(check bool) (name ^ ": recovery") true
-        (wide.Executor.recovery = narrow.Executor.recovery))
-    [ "libc"; "mcf"; "swissmap" ]
-
 let suite =
   [ ( "bigio",
       [ Alcotest.test_case "mmap and read-fallback loads agree" `Quick
@@ -393,18 +298,15 @@ let suite =
           test_bigio_empty;
         Alcotest.test_case "sub_string slices and bounds-checks" `Quick
           test_bigio_sub_string;
+        Alcotest.test_case "sub_string rejects a wrapping slice" `Quick
+          test_bigio_sub_string_wrapping;
         Alcotest.test_case "missing file raises Sys_error" `Quick
           test_bigio_missing_file ] );
     ( "mmap-decode",
-      [ Alcotest.test_case "binfmt bigstring ≡ channel on clean v1/v2" `Quick
-          test_binfmt_big_clean;
+      [ Alcotest.test_case "golden decode corpus" `Quick test_golden_decode;
         Alcotest.test_case "big_version sniffs every container" `Quick
           test_big_version;
-        Alcotest.test_case "columnar bigstring ≡ channel on clean v3" `Quick
-          test_columnar_big_clean;
-        QCheck_alcotest.to_alcotest prop_binfmt_big_differential;
-        QCheck_alcotest.to_alcotest prop_columnar_big_differential;
-        QCheck_alcotest.to_alcotest prop_stream_backends_agree ] );
+        QCheck_alcotest.to_alcotest prop_stream_segments ] );
     ( "replay-pipeline",
       [ Alcotest.test_case "prefetched emits identical segments" `Quick
           test_prefetched_segments;
@@ -414,6 +316,4 @@ let suite =
           test_prefetched_consumer_abort;
         Alcotest.test_case "run_stream_many ≡ per-policy run_stream" `Quick
           test_run_stream_many_equal;
-        QCheck_alcotest.to_alcotest prop_run_stream_many_strict_raises_same;
-        Alcotest.test_case "probe widening never changes outcomes" `Quick
-          test_probe_widening_equal ] ) ]
+        QCheck_alcotest.to_alcotest prop_run_stream_many_strict_raises_same ] ) ]

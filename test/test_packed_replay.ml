@@ -38,7 +38,17 @@ let workload_trace () =
   let wl = Prefix_workloads.Registry.find "libc" in
   wl.generate ~scale:Profiling ~seed:7 ()
 
-let test_strict_workload () = ignore (check_same ~what:"libc strict" (workload_trace ()))
+(* The packed path accounts same-object, same-line access streaks in
+   one batched cache touch; the boxed interpreter probes every event.
+   Three workloads pin the two together. *)
+let test_strict_workload () =
+  ignore (check_same ~what:"libc strict" (workload_trace ()));
+  List.iter
+    (fun name ->
+      let wl = Prefix_workloads.Registry.find name in
+      ignore
+        (check_same ~what:(name ^ " strict") (wl.generate ~scale:Profiling ~seed:5 ())))
+    [ "mcf"; "swissmap" ]
 
 let test_lenient_workload () =
   (* On a well-formed trace, lenient must equal strict and recover

@@ -315,7 +315,7 @@ let test_binary_file_stream () =
   let stream = Stream.of_binary_file ~segment_events:seg path in
   Alcotest.(check bool) "binary round-trip" true
     (Trace.to_list (Stream.to_trace stream) = Trace.to_list trace);
-  (* The channel decoder must agree with the buffered one. *)
+  (* The whole-file reader must agree with the stream. *)
   let via_read = Result.get_ok (Binfmt.read_file path) in
   Alcotest.(check int) "lengths agree" (Trace.length via_read) (Stream.length stream)
 

@@ -194,12 +194,12 @@ let prop_binfmt_decode_fuzz =
 let varint_roundtrip n =
   let buf = Buffer.create 10 in
   Binfmt.put_varint buf n;
-  let c = { Binfmt.data = Buffer.to_bytes buf; pos = 0 } in
+  let c = Binfmt.cursor (Prefix_util.Bigio.of_bytes (Buffer.to_bytes buf)) in
   match Binfmt.get_varint c with
   | Error e -> Alcotest.failf "varint %d: %s" n e
   | Ok n' ->
     Alcotest.(check int) (Printf.sprintf "varint %d" n) n n';
-    Alcotest.(check int) "all bytes consumed" (Bytes.length c.Binfmt.data) c.Binfmt.pos
+    Alcotest.(check int) "all bytes consumed" c.Binfmt.limit c.Binfmt.pos
 
 let test_varint_extremes () =
   List.iter varint_roundtrip
@@ -212,8 +212,8 @@ let prop_varint_roundtrip =
     (fun n ->
       let buf = Buffer.create 10 in
       Binfmt.put_varint buf n;
-      let c = { Binfmt.data = Buffer.to_bytes buf; pos = 0 } in
-      Binfmt.get_varint c = Ok n && c.Binfmt.pos = Bytes.length c.Binfmt.data)
+      let c = Binfmt.cursor (Prefix_util.Bigio.of_bytes (Buffer.to_bytes buf)) in
+      Binfmt.get_varint c = Ok n && c.Binfmt.pos = c.Binfmt.limit)
 
 let test_event_int_extremes () =
   (* Whole events at the integer extremes, through v1 and v2.  The

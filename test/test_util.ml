@@ -1,4 +1,4 @@
-(* Tests for Prefix_util: Rng, Stats, Tablefmt. *)
+(* Tests for Prefix_util: Rng, Stats, Tablefmt, Fsio, Crc32. *)
 
 open Prefix_util
 
@@ -249,6 +249,22 @@ let test_atomic_write_perms () =
       check ci "permissions after overwrite" (0o644 land lnot umask)
         (st.Unix.st_perm land 0o777))
 
+(* ---- Crc32 ---- *)
+
+(* [pos + len] wraps around for [len = max_int]; a slice running past
+   the end must raise, not checksum an empty range. *)
+let test_crc32_sub_bytes_wrapping () =
+  match Crc32.sub_bytes (Bytes.make 8 'x') ~pos:4 ~len:max_int with
+  | crc -> Alcotest.failf "wrapping slice accepted (crc %d)" crc
+  | exception Invalid_argument _ -> ()
+
+let test_crc32_sub_big_wrapping () =
+  let big = Bigio.of_bytes (Bytes.make 8 'x') in
+  check ci "in-bounds slice" (Crc32.string "xxxx") (Crc32.sub_big big ~pos:4 ~len:4);
+  match Crc32.sub_big big ~pos:4 ~len:max_int with
+  | crc -> Alcotest.failf "wrapping slice accepted (crc %d)" crc
+  | exception Invalid_argument _ -> ()
+
 let suite =
   [ ( "util",
       [ Alcotest.test_case "rng deterministic" `Quick test_rng_deterministic;
@@ -277,4 +293,8 @@ let suite =
         Alcotest.test_case "table arity" `Quick test_table_too_many_cells;
         Alcotest.test_case "fmt_int" `Quick test_fmt_int;
         Alcotest.test_case "fmt_pct" `Quick test_fmt_pct;
-        Alcotest.test_case "atomic write perms" `Quick test_atomic_write_perms ] ) ]
+        Alcotest.test_case "atomic write perms" `Quick test_atomic_write_perms;
+        Alcotest.test_case "crc32 sub_bytes rejects a wrapping slice" `Quick
+          test_crc32_sub_bytes_wrapping;
+        Alcotest.test_case "crc32 sub_big rejects a wrapping slice" `Quick
+          test_crc32_sub_big_wrapping ] ) ]

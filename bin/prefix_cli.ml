@@ -421,21 +421,20 @@ let stream_container_arg =
 
 let decode_once_arg =
   let doc =
-    "With --stream: replay all seven policies as consumers of a single decode \
-     pass over the evaluation stream (decode once, replay many) instead of \
-     re-decoding it per policy.  The report is byte-identical either way."
+    "Ignored.  Every run replays its seven policies as consumers of a single \
+     decode pass over the evaluation stream."
   in
-  Arg.(value & flag & info [ "decode-once" ] ~doc)
+  let deprecated = "deprecated, every run decodes once; the flag has no effect" in
+  Arg.(value & flag & info [ "decode-once" ] ~deprecated ~doc)
 
 let run_cmd =
-  let run name scale stream segment_events stream_container decode_once slots
+  let run name scale stream segment_events stream_container _decode_once slots
       jobs verbose log_level obs_out telemetry telemetry_interval checkpoint
       checkpoint_every deadline_s max_rss_mb =
     setup_logs log_level verbose;
     Harness.set_jobs jobs;
     set_streaming stream segment_events;
     Harness.set_stream_container stream_container;
-    Harness.set_decode_once decode_once;
     Harness.set_slot_mode slots;
     Harness.set_eval_scale scale;
     match get_workload name with
@@ -645,7 +644,7 @@ let fuzz_cmd =
          & info [ "crash-seed" ] ~docv:"SEED"
              ~doc:"Seed for kill points and torn-write injection.")
   in
-  let run seeds rate benches kinds policies region_cap stream jobs verbose
+  let run seeds rate benches kinds policies region_cap jobs verbose
       log_level obs_out telemetry telemetry_interval crash crash_kills crash_dir
       crash_seed =
     setup_logs log_level verbose;
@@ -689,7 +688,7 @@ let fuzz_cmd =
       end
       else begin
         let cfg =
-          { Campaign.benches; policies; kinds; seeds; rate; region_cap; stream }
+          { Campaign.benches; policies; kinds; seeds; rate; region_cap }
         in
         let s = Campaign.run ~jobs ~progress cfg in
         print_string (Campaign.report s);
@@ -703,7 +702,7 @@ let fuzz_cmd =
           seeded faults, assert lenient replay is crash-free with bounded \
           metric drift, and that sanitized traces replay strictly")
     Term.(const run $ seeds_arg $ rate_arg $ benches_arg $ kinds_arg
-          $ policies_arg $ region_cap_arg $ stream_arg $ jobs_arg $ verbose_arg
+          $ policies_arg $ region_cap_arg $ jobs_arg $ verbose_arg
           $ log_level_arg $ obs_out_arg $ telemetry_arg
           $ telemetry_interval_arg $ crash_arg $ crash_kills_arg
           $ crash_dir_arg $ crash_seed_arg)

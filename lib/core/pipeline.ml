@@ -374,9 +374,6 @@ let plan_with_stats ?(config = default_config) ?ohds ~variant stats trace =
 
 let analyze trace = stage "trace-analysis" (fun () -> Trace_stats.analyze trace)
 
-let analyze_packed packed =
-  stage "trace-analysis" (fun () -> Trace_stats.analyze_packed packed)
-
 let analyze_stream stream =
   stage "trace-analysis" (fun () -> Trace_stats.analyze_stream stream)
 

@@ -52,10 +52,6 @@ val analyze : Prefix_trace.Trace.t -> Prefix_trace.Trace_stats.t
     use this instead of calling the analyzer directly when the run
     should show up in span reports and Chrome traces. *)
 
-val analyze_packed : Prefix_trace.Packed.t -> Prefix_trace.Trace_stats.t
-(** {!analyze} off an already-packed trace, avoiding a second packing
-    when the caller also replays the packed form. *)
-
 val analyze_stream : Prefix_trace.Stream.t -> Prefix_trace.Trace_stats.t
 (** {!analyze} off a segment stream under the same "trace-analysis"
     span: identical statistics, one segment of trace memory. *)

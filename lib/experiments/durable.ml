@@ -9,14 +9,16 @@
      DIR/<bench>/stats.ckpt[.prev]   long-run statistics collector, mid-stream
      DIR/<bench>/stats.done          final statistics collector
      DIR/<bench>/class.done          long-run HDS classification (object ids)
-     DIR/<bench>/policy-<name>.ckpt  executor session, mid-replay
-     DIR/<bench>/policy-<name>.done  finished replay outcome
+     DIR/<bench>/replay.ckpt[.prev]  the seven executor sessions, mid-replay
+     DIR/<bench>/replay.done         the seven finished replay outcomes
 
    Work that is cheap and deterministic — trace generation, profiling
-   analysis, planning — is recomputed on every resume; only the
-   long-run passes (statistics, classification, seven policy replays)
-   checkpoint.  Stream-detection ([class]) has no mid-phase snapshot:
-   interrupted, it restarts from the beginning of that phase.
+   analysis, planning — is recomputed on every resume; only the three
+   long-run passes (statistics, classification, the seven-policy
+   fan-out replay) checkpoint.  Stream-detection ([class]) has no
+   mid-phase snapshot: interrupted, it restarts from the beginning of
+   that phase.  Everything after the long-run measurements — plans,
+   policies, the result record — is {!Harness.evaluate}'s.
 
    Checkpoints are taken at stream segment boundaries, every
    [every]-th segment.  Guardrails are checked at the same boundaries;
@@ -27,9 +29,7 @@ module Workload = Prefix_workloads.Workload
 module Stream = Prefix_trace.Stream
 module Packed = Prefix_trace.Packed
 module Trace_stats = Prefix_trace.Trace_stats
-module Pipeline = Prefix_core.Pipeline
 module Executor = Prefix_runtime.Executor
-module Policy = Prefix_runtime.Policy
 module Checkpoint = Prefix_runtime.Checkpoint
 module Detector = Prefix_hds.Detector
 module Hds = Prefix_hds.Hds
@@ -235,51 +235,54 @@ let durable_class ~mon ~meta bdir long_stats mk_stream =
       (Marshal.to_string ids []);
     ids
 
-(* One policy replay as a durable session. *)
-let durable_replay cfg ~mon ~meta bdir ~name ~policy mk_stream =
-  let done_path = bdir / ("policy-" ^ name ^ ".done") in
-  let ckpt_path = bdir / ("policy-" ^ name ^ ".ckpt") in
-  let outcome_of payload =
-    match (Marshal.from_string payload 0 : Executor.outcome) with
-    | o -> o
+(* The seven policy replays as one checkpointed fan-out pass: each
+   segment goes to every session in turn, and each save writes all the
+   sessions into one container at one segment boundary, so a resume
+   never sees sessions at different event indices. *)
+let durable_replay cfg ~mon ~meta bdir mk_stream policies =
+  let done_path = bdir / "replay.done" in
+  let ckpt_path = bdir / "replay.ckpt" in
+  match load_done ~path:done_path ~kind:"outcomes" ~meta with
+  | Some payload -> (
+    match (Marshal.from_string payload 0 : Executor.outcome list) with
+    | outcomes -> outcomes
     | exception (Failure msg | Invalid_argument msg) ->
-      failwith (done_path ^ ": outcome snapshot does not match this binary: " ^ msg)
-  in
-  match load_done ~path:done_path ~kind:"outcome" ~meta with
-  | Some payload -> outcome_of payload
+      failwith (done_path ^ ": outcome snapshot does not match this binary: " ^ msg))
   | None ->
-    let session, start =
-      match load_snapshot ~path:ckpt_path ~kind:"session" ~meta with
-      | Some (ev, payload) -> (
-        match Executor.session_deserialize payload with
-        | Ok st -> (st, ev)
-        | Error e -> failwith (ckpt_path ^ ": " ^ e))
-      | None ->
-        let heap = Prefix_heap.Allocator.create () in
-        let p = policy heap in
-        ( Executor.session_create ~config:Harness.exec_config ~mode:Policy.Strict
-            ~heatmap_objs:None ~attribute:false ~heap ~p,
-          0 )
+    let sessions, start =
+      match load_snapshot ~path:ckpt_path ~kind:"sessions" ~meta with
+      | Some (ev, payload) ->
+        let restore s =
+          match Executor.session_deserialize s with
+          | Ok st -> st
+          | Error e -> failwith (ckpt_path ^ ": " ^ e)
+        in
+        (match (Marshal.from_string payload 0 : string list) with
+        | snaps -> (List.map restore snaps, ev)
+        | exception (Failure msg | Invalid_argument msg) -> failwith (ckpt_path ^ ": " ^ msg))
+      | None -> (Executor.sessions_create ~config:Harness.exec_config policies, 0)
     in
+    let events () = Executor.session_events (List.hd sessions) in
     let save () =
       Checkpoint.save ~path:ckpt_path
-        { Checkpoint.kind = "session";
-          meta;
-          event_index = Executor.session_events session }
-        ~payload:(Executor.session_serialize session)
+        { Checkpoint.kind = "sessions"; meta; event_index = events () }
+        ~payload:(Marshal.to_string (List.map Executor.session_serialize sessions) [])
     in
-    segments_durable cfg ~mon ~start ~save ~path:ckpt_path
-      (mk_stream ()) (fun ~base seg -> Executor.replay_segment session ~base seg);
-    let outcome = Executor.session_finish session in
-    save_done ~path:done_path ~kind:"outcome" ~meta
-      ~event_index:(Executor.session_events session)
-      (Marshal.to_string outcome []);
-    Prefix_obs.Recorder.poll ~label:("durable:" ^ name) ();
-    outcome
+    segments_durable cfg ~mon ~start ~save ~path:ckpt_path (mk_stream ())
+      (fun ~base seg -> List.iter (fun st -> Executor.replay_segment st ~base seg) sessions);
+    let outcomes = List.map Executor.session_finish sessions in
+    save_done ~path:done_path ~kind:"outcomes" ~meta ~event_index:(events ())
+      (Marshal.to_string outcomes []);
+    outcomes
 
 (* ---- the durable benchmark run -------------------------------------- *)
 
+let check_every every =
+  if every <= 0 then
+    invalid_arg (Printf.sprintf "checkpoint interval must be positive (got %d segments)" every)
+
 let run_benchmark cfg (wl : Workload.t) : Harness.result =
+  check_every cfg.every;
   let bdir = cfg.dir / wl.name in
   Fsio.mkdir_p bdir;
   let mon = Checkpoint.start cfg.guardrails in
@@ -302,79 +305,22 @@ let run_benchmark cfg (wl : Workload.t) : Harness.result =
       Stream.of_packed ?segment_events:cfg.segment_events p
     | Harness.Streamed mk -> mk ()
   in
-  let profiling_stats = Pipeline.analyze profiling_trace in
   let long_stats = durable_stats cfg ~mon ~meta bdir mk_stream in
-  let long_events = Trace_stats.trace_length long_stats in
-  let long_hot_set = Hashtbl.create 1024 in
-  List.iter
-    (fun (o : Trace_stats.obj_info) -> Hashtbl.replace long_hot_set o.obj ())
-    (Trace_stats.hot_objects ~coverage:Harness.pipeline_config.coverage long_stats);
-  let long_hds_set = Hashtbl.create 1024 in
-  List.iter
-    (fun o -> Hashtbl.replace long_hds_set o ())
-    (durable_class ~mon ~meta bdir long_stats mk_stream);
-  let cls =
-    { Policy.is_hot = Hashtbl.mem long_hot_set; is_hds = Hashtbl.mem long_hds_set }
-  in
-  let costs = Harness.exec_config.costs in
-  let plan_hot, plan_hds, plan_hdshot, hds_plan =
-    Harness.profile_plans profiling_stats profiling_trace
-  in
-  let halo_plan = Prefix_halo.Halo.plan_of_trace profiling_stats profiling_trace in
-  let block_plan = Prefix_runtime.Block_policy.plan_of_trace profiling_trace in
-  let replay name policy plan =
-    let o = durable_replay cfg ~mon ~meta bdir ~name ~policy mk_stream in
-    { Harness.metrics = o.Executor.metrics; plan }
-  in
-  let baseline =
-    replay "baseline" (fun heap -> Policy.baseline costs heap) None
-  in
-  let hds =
-    replay "hds"
-      (fun heap -> Prefix_runtime.Hds_policy.policy costs heap hds_plan cls)
-      None
-  in
-  let halo =
-    replay "halo"
-      (fun heap -> Prefix_runtime.Halo_policy.policy costs heap halo_plan cls)
-      None
-  in
-  let block =
-    replay "block"
-      (fun heap -> Prefix_runtime.Block_policy.policy costs heap block_plan cls)
-      None
-  in
-  let prefix_run name plan =
-    replay name
-      (fun heap -> Prefix_runtime.Prefix_policy.policy costs heap plan cls)
-      (Some plan)
-  in
-  let prefix_hot = prefix_run "prefix_hot" plan_hot in
-  let prefix_hds = prefix_run "prefix_hds" plan_hds in
-  let prefix_hdshot = prefix_run "prefix_hdshot" plan_hdshot in
-  { Harness.wl;
-    profiling_trace;
-    long_source;
-    long_events;
-    profiling_stats;
-    long_stats;
-    baseline;
-    hds;
-    halo;
-    block;
-    prefix_hot;
-    prefix_hds;
-    prefix_hdshot;
-    long_hot_set;
-    long_hds_set }
+  let long_hds = durable_class ~mon ~meta bdir long_stats mk_stream in
+  Harness.evaluate wl ~profiling_trace ~long_source ~long_stats ~long_hds
+    ~replay:(fun policies ->
+      let outcomes = durable_replay cfg ~mon ~meta bdir mk_stream policies in
+      Prefix_obs.Recorder.poll ~label:("durable:" ^ wl.name) ();
+      outcomes)
+
+(* Benchmarks spread across a domain pool of [jobs] when there are
+   several. *)
+let pooled ~jobs f xs =
+  if jobs <= 1 || List.length xs <= 1 then List.map f xs
+  else Prefix_parallel.Pool.with_pool ~jobs (fun pool -> Prefix_parallel.Pool.map pool f xs)
 
 let run_many cfg names =
-  let benches = List.map Prefix_workloads.Registry.find names in
-  if cfg.jobs <= 1 || List.length benches <= 1 then
-    List.map (run_benchmark cfg) benches
-  else
-    Prefix_parallel.Pool.with_pool ~jobs:cfg.jobs (fun pool ->
-        Prefix_parallel.Pool.map pool (run_benchmark cfg) benches)
+  pooled ~jobs:cfg.jobs (run_benchmark cfg) (List.map Prefix_workloads.Registry.find names)
 
 (* ---- resume --------------------------------------------------------- *)
 
@@ -420,6 +366,7 @@ let cfg_of_manifest ~dir ~every ~guardrails meta =
       segment_events = Some (int_of_string (get "segment_events")) } )
 
 let resume ~dir ~every ~guardrails =
+  check_every every;
   match bench_dirs dir with
   | [] -> failwith (dir ^ ": no benchmark checkpoints found")
   | benches ->
@@ -431,10 +378,14 @@ let resume ~dir ~every ~guardrails =
           | Ok meta -> cfg_of_manifest ~dir ~every ~guardrails meta)
         benches
     in
-    (* All manifests in one directory share jobs/scale/mode. *)
-    let _, cfg0 = List.hd runs in
-    let names = List.map fst runs in
-    (names, run_many cfg0 names)
+    (* Each benchmark finishes under the configuration its own manifest
+       records: one directory may hold benchmarks run with different
+       scales, modes or segment sizes. *)
+    let jobs = List.fold_left (fun j (_, cfg) -> max j cfg.jobs) 1 runs in
+    ( List.map fst runs,
+      pooled ~jobs
+        (fun (name, cfg) -> run_benchmark cfg (Prefix_workloads.Registry.find name))
+        runs )
 
 (* Cheap validation: check every container's magic, CRCs and identity
    without deserializing payload state or replaying anything. *)

@@ -10,10 +10,14 @@
     bench, scale, seed, streaming mode, segment size, jobs, trace and
     config digests — validated on resume, so a stale or mismatched
     checkpoint directory is refused), rolling [*.ckpt]/[*.ckpt.prev]
-    snapshots for the long-run statistics pass and each of the six
-    policy replays, and [*.done] results for finished phases.  All
-    files are self-validating {!Prefix_runtime.Checkpoint} containers
-    written atomically; a torn snapshot falls back to the previous one.
+    snapshots for the long-run statistics pass ([stats.ckpt]) and the
+    seven-policy replay ([replay.ckpt]: the seven policies replay in
+    one fan-out pass, and each save holds all seven executor sessions
+    at one segment boundary), and [*.done] results for finished phases
+    ([stats.done], [class.done], and [replay.done] with the seven
+    outcomes).  All files are self-validating
+    {!Prefix_runtime.Checkpoint} containers written atomically; a torn
+    snapshot falls back to the previous one.
 
     Stream detection (the [class] phase) has no mid-phase snapshot and
     restarts if interrupted; trace generation, profiling analysis and
@@ -41,22 +45,30 @@ val default : dir:string -> t
     materialized evaluation. *)
 
 val run_benchmark : t -> Prefix_workloads.Workload.t -> Harness.result
-(** Run (or finish) one benchmark durably.  Raises [Failure] on a
-    checkpoint identity mismatch and [Checkpoint.Breach] on a guardrail
-    breach (after flushing a resumable checkpoint). *)
+(** Run (or finish) one benchmark durably: the long-run statistics and
+    classification passes, then {!Harness.evaluate} with one
+    checkpointed fan-out replay.  Raises [Invalid_argument] when
+    [every <= 0] (before any work), [Failure] on a checkpoint identity
+    mismatch and [Checkpoint.Breach] on a guardrail breach (after
+    flushing a resumable checkpoint). *)
 
 val run_many : t -> string list -> Harness.result list
 (** Durable {!Harness.run_many}: independent benchmarks spread across a
-    domain pool when [jobs > 1]. *)
+    domain pool when [jobs > 1]; each benchmark raises as
+    {!run_benchmark} does. *)
 
 val resume :
   dir:string ->
   every:int ->
   guardrails:Prefix_runtime.Checkpoint.guardrails ->
   string list * Harness.result list
-(** Finish every benchmark recorded under [dir], reconstructing each
-    run's configuration (scale, streaming, segment size, jobs) from its
-    manifest.  Returns the benchmark names with their results. *)
+(** Finish every benchmark recorded under [dir], each under the
+    configuration (scale, streaming, segment size, jobs) its own
+    manifest records — benchmarks checkpointed with different settings
+    can share a directory.  Benchmarks spread across a domain pool of
+    the largest recorded [jobs].  Returns the benchmark names with their
+    results.  Raises [Invalid_argument] when [every <= 0], before any
+    work. *)
 
 val check : dir:string -> (string, string) result
 (** Validate every container under [dir] — magic, CRCs, kind, identity

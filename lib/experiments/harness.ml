@@ -41,13 +41,6 @@ let long_packed r =
   | Materialized p -> p
   | Streamed mk -> Prefix_trace.Stream.to_packed (mk ())
 
-let long_stream r =
-  match r.long_source with
-  | Materialized p -> Prefix_trace.Stream.of_packed p
-  | Streamed mk -> mk ()
-
-let long_trace r = Prefix_trace.Packed.to_trace (long_packed r)
-
 module Span = Prefix_obs.Span
 module Log = (val Logs.src_log Prefix_obs.Log.harness)
 
@@ -76,13 +69,9 @@ let slot_mode = ref Pipeline.Modulo
 let set_slot_mode m = slot_mode := m
 let effective_pipeline_config () = { pipeline_config with Pipeline.slot_mode = !slot_mode }
 
-(* Decode-once fan-out: replay all seven policies as consumers of a
-   single decode pass ({!Executor.run_stream_many}) instead of
-   re-decoding the evaluation stream per policy.  Off by default (the
-   per-policy path is the long-standing reference); reports are
-   byte-identical either way — CI diffs them. *)
-let decode_once = ref false
-let set_decode_once b = decode_once := b
+(* Every run replays its seven policies in one decode-once fan-out
+   pass; the setter survives for callers of the old switch. *)
+let set_decode_once (_ : bool) = ()
 
 (* Spooled stream containers are temp files; cleanup is registered once
    from the main domain (at_exit is domain-local in OCaml 5, so worker
@@ -121,8 +110,8 @@ let spool_columnar (wl : Workload.t) ~scale ~segment_events =
 
 (* Degree of parallelism for [run_all]; 1 (the exact legacy sequential
    path) unless the CLI's --jobs configured otherwise.  Doubles as the
-   prefetch-pipelining switch: at [jobs >= 2] streamed replays decode
-   segment N+1 on a prefetch worker while segment N replays. *)
+   prefetch-pipelining switch: at [jobs >= 2] a streamed evaluation
+   decodes segment N+1 on a prefetch worker while segment N replays. *)
 let jobs = ref 1
 let set_jobs n = jobs := max 1 n
 
@@ -170,6 +159,66 @@ let profile_plans profiling_stats profiling_trace =
     plan_of Plan.HdsHot,
     Hds_policy.plan_of_trace ~ohds profiling_stats profiling_trace )
 
+(* Everything a benchmark's runners share once the long run has been
+   measured: the profiling analysis, the long-run hot set and HDS
+   classification, the six plans, the seven policies in report order
+   and the result record.  [replay] runs the seven policies over the
+   evaluation trace — one plain fan-out pass, or a checkpointed one —
+   and returns their outcomes in order. *)
+let evaluate (wl : Workload.t) ~profiling_trace ~long_source ~long_stats ~long_hds
+    ~replay =
+  (* Pipeline.analyze rather than Trace_stats.analyze so the pass
+     appears as a "trace-analysis" span in obs reports. *)
+  let profiling_stats = Pipeline.analyze profiling_trace in
+  (* Long-run classification, for pollution and capture accounting. *)
+  let long_hot_set = Hashtbl.create 1024 in
+  List.iter
+    (fun (o : Trace_stats.obj_info) -> Hashtbl.replace long_hot_set o.obj ())
+    (Trace_stats.hot_objects ~coverage:pipeline_config.coverage long_stats);
+  let long_hds_set = Hashtbl.create 1024 in
+  List.iter (fun o -> Hashtbl.replace long_hds_set o ()) long_hds;
+  let cls =
+    { Policy.is_hot = Hashtbl.mem long_hot_set; is_hds = Hashtbl.mem long_hds_set }
+  in
+  let costs = exec_config.costs in
+  (* Profile-side plans, sharing one detection of the profile. *)
+  Log.info (fun m -> m "%s: planning" wl.name);
+  let plan_hot, plan_hds, plan_hdshot, hds_plan =
+    profile_plans profiling_stats profiling_trace
+  in
+  let halo_plan = Prefix_halo.Halo.plan_of_trace profiling_stats profiling_trace in
+  let block_plan = Block_policy.plan_of_trace profiling_trace in
+  let prefix plan heap = Prefix_policy.policy costs heap plan cls in
+  Log.info (fun m -> m "%s: replaying all policies" wl.name);
+  match
+    replay
+      [ (fun heap -> Policy.baseline costs heap);
+        (fun heap -> Hds_policy.policy costs heap hds_plan cls);
+        (fun heap -> Halo_policy.policy costs heap halo_plan cls);
+        (fun heap -> Block_policy.policy costs heap block_plan cls);
+        prefix plan_hot;
+        prefix plan_hds;
+        prefix plan_hdshot ]
+  with
+  | [ b; h; hl; blk; p_hot; p_hds; p_hdshot ] ->
+    let run plan (o : Executor.outcome) = { metrics = o.metrics; plan } in
+    { wl;
+      profiling_trace;
+      long_source;
+      long_events = Trace_stats.trace_length long_stats;
+      profiling_stats;
+      long_stats;
+      baseline = run None b;
+      hds = run None h;
+      halo = run None hl;
+      block = run None blk;
+      prefix_hot = run (Some plan_hot) p_hot;
+      prefix_hds = run (Some plan_hds) p_hds;
+      prefix_hdshot = run (Some plan_hdshot) p_hdshot;
+      long_hot_set;
+      long_hds_set }
+  | _ -> invalid_arg "Harness.evaluate: replay must return one outcome per policy"
+
 let run_benchmark_spooling (wl : Workload.t) ~spooled_path =
   (* Each benchmark derives all randomness from fixed per-benchmark
      seeds (no RNG state is shared across tasks), so a pooled run is
@@ -178,7 +227,7 @@ let run_benchmark_spooling (wl : Workload.t) ~spooled_path =
   @@ fun () ->
   Log.info (fun m -> m "%s: generating traces" wl.name);
   let eval_scale = !eval_scale in
-  let profiling_trace, long_source =
+  let profiling_trace, long_source, long_stream =
     if !streaming then begin
       (* Streamed evaluation: the long run is never materialized.  Each
          consumer below re-runs the deterministic generator, holding one
@@ -196,7 +245,7 @@ let run_benchmark_spooling (wl : Workload.t) ~spooled_path =
               ?segment_events ()
         | `Columnar ->
           (* Spool the deterministic stream once into a columnar (v3)
-             container, then every replay below streams from the file —
+             container, then every pass below streams from the file —
              exercising the on-disk decode path end to end.  The
              container carries the same segments, so reports stay
              byte-identical to the generator-backed (and materialized)
@@ -208,7 +257,17 @@ let run_benchmark_spooling (wl : Workload.t) ~spooled_path =
           spooled_path := Some path;
           fun () -> Prefix_trace.Stream.of_binary_file ?segment_events path
       in
-      (profiling_trace, Streamed mk)
+      (* Pipelined decode: with worker domains available, segment N+1 is
+         decoded on a prefetch worker while segment N is consumed.  The
+         wrapper forwards the exact segment sequence, so reports stay
+         byte-identical to the unwrapped stream.  At --jobs 1 the
+         pipeline is off: same domain count and allocation behavior as
+         before. *)
+      let long_stream () =
+        let s = mk () in
+        if !jobs >= 2 then Prefix_trace.Stream.prefetched ~spawn:prefetch_spawn s else s
+      in
+      (profiling_trace, Streamed mk, long_stream)
     end
     else begin
       let profiling_trace, long_trace =
@@ -223,139 +282,36 @@ let run_benchmark_spooling (wl : Workload.t) ~spooled_path =
         Span.with_ ~cat:"harness" "pack-traces" (fun () ->
             Prefix_trace.Packed.of_trace long_trace)
       in
-      (profiling_trace, Materialized long_packed)
+      (* One segment: the stream emits the packed trace itself, so every
+         pass reads the same arrays with no copy. *)
+      let long_stream () =
+        Prefix_trace.Stream.of_packed
+          ~segment_events:(max 1 (Prefix_trace.Packed.length long_packed))
+          long_packed
+      in
+      (profiling_trace, Materialized long_packed, long_stream)
     end
   in
-  let long_stream_of () =
-    match long_source with
-    | Materialized p -> Prefix_trace.Stream.of_packed p
-    | Streamed mk ->
-      let s = mk () in
-      (* Pipelined decode: with worker domains available, segment N+1
-         is decoded on a prefetch worker while segment N is consumed.
-         The wrapper forwards the exact segment sequence, so reports
-         stay byte-identical to the unwrapped stream (CI diffs the
-         --jobs 1 and --jobs 2 reports).  At --jobs 1 the pipeline is
-         off: same domain count and allocation behavior as before. *)
-      if !jobs >= 2 then Prefix_trace.Stream.prefetched ~spawn:prefetch_spawn s
-      else s
-  in
-  (* Pipeline.analyze rather than Trace_stats.analyze so both analysis
-     passes appear as "trace-analysis" spans in obs reports. *)
-  let profiling_stats = Pipeline.analyze profiling_trace in
-  let long_stats =
-    match long_source with
-    | Materialized p -> Pipeline.analyze_packed p
-    | Streamed _ -> Pipeline.analyze_stream (long_stream_of ())
-  in
-  let long_events = Trace_stats.trace_length long_stats in
-  (* Long-run classification, for pollution and capture accounting. *)
-  let long_hot_set = Hashtbl.create 1024 in
-  List.iter
-    (fun (o : Trace_stats.obj_info) -> Hashtbl.replace long_hot_set o.obj ())
-    (Trace_stats.hot_objects ~coverage:pipeline_config.coverage long_stats);
-  let long_hds_set = Hashtbl.create 1024 in
+  let long_stats = Pipeline.analyze_stream (long_stream ()) in
   Log.info (fun m -> m "%s: detecting long-run streams" wl.name);
-  let long_ohds =
+  let long_hds =
     Span.with_ ~cat:"harness" "long-run-classification" (fun () ->
-        Detector.detect_stream ~config:pipeline_config.detector long_stats (long_stream_of ()))
+        List.concat_map Hds.objs
+          (Detector.detect_stream ~config:pipeline_config.detector long_stats
+             (long_stream ())))
   in
-  List.iter
-    (fun h -> List.iter (fun o -> Hashtbl.replace long_hds_set o ()) (Hds.objs h))
-    long_ohds;
-  let cls =
-    { Policy.is_hot = Hashtbl.mem long_hot_set; is_hds = Hashtbl.mem long_hds_set }
-  in
-  let costs = exec_config.costs in
-  (* Profile-side plans, sharing one detection of the profile. *)
-  Log.info (fun m -> m "%s: planning" wl.name);
-  let plan_hot, plan_hds, plan_hdshot, hds_plan =
-    profile_plans profiling_stats profiling_trace
-  in
-  let halo_plan = Prefix_halo.Halo.plan_of_trace profiling_stats profiling_trace in
-  let block_plan = Block_policy.plan_of_trace profiling_trace in
-  (* Long-run replays. *)
-  let baseline, hds, halo, block, prefix_hot, prefix_hds, prefix_hdshot =
-    match long_source with
-    | Streamed _ when !decode_once ->
+  evaluate wl ~profiling_trace ~long_source ~long_stats ~long_hds ~replay:(fun policies ->
       (* Decode-once fan-out: one pass over the evaluation stream hands
-         each decoded segment to all seven policy sessions before the
-         next segment is decoded.  Sessions are independent, so the
-         seven outcomes — and hence the report — are byte-identical to
-         the sequential per-policy replays below. *)
-      Log.info (fun m -> m "%s: replaying all policies (decode-once)" wl.name);
-      let policies =
-        [ (fun heap -> Policy.baseline costs heap);
-          (fun heap -> Hds_policy.policy costs heap hds_plan cls);
-          (fun heap -> Halo_policy.policy costs heap halo_plan cls);
-          (fun heap -> Block_policy.policy costs heap block_plan cls);
-          (fun heap -> Prefix_policy.policy costs heap plan_hot cls);
-          (fun heap -> Prefix_policy.policy costs heap plan_hds cls);
-          (fun heap -> Prefix_policy.policy costs heap plan_hdshot cls) ]
-      in
+         each segment to all seven policy sessions before the next one
+         is decoded. *)
       let outcomes =
-        Executor.run_stream_many ~config:exec_config ~policies (long_stream_of ())
+        Executor.run_stream_many ~config:exec_config ~policies (long_stream ())
       in
+      (* Wall-clock fallback sample, so a pooled experiment's timeline
+         keeps moving even while every event-cadence tick belongs to
+         some other domain's replay. *)
       Prefix_obs.Recorder.poll ~label:("benchmark:" ^ wl.name) ();
-      let run plan (o : Executor.outcome) = { metrics = o.metrics; plan } in
-      (match outcomes with
-      | [ b; h; hl; blk; p_hot; p_hds; p_hdshot ] ->
-        ( run None b,
-          run None h,
-          run None hl,
-          run None blk,
-          run (Some plan_hot) p_hot,
-          run (Some plan_hds) p_hds,
-          run (Some plan_hdshot) p_hdshot )
-      | _ -> assert false)
-    | _ ->
-      let replay name policy plan =
-        Log.info (fun m -> m "%s: replaying %s" wl.name name);
-        let outcome =
-          match long_source with
-          | Materialized p -> Executor.run_packed ~config:exec_config ~policy p
-          | Streamed _ -> Executor.run_stream ~config:exec_config ~policy (long_stream_of ())
-        in
-        (* Wall-clock fallback sample between policy replays, so a pooled
-           experiment's timeline keeps moving even while every
-           event-cadence tick belongs to some other domain's replay. *)
-        Prefix_obs.Recorder.poll ~label:("benchmark:" ^ wl.name) ();
-        { metrics = outcome.metrics; plan }
-      in
-      let baseline = replay "baseline" (fun heap -> Policy.baseline costs heap) None in
-      let hds = replay "HDS" (fun heap -> Hds_policy.policy costs heap hds_plan cls) None in
-      let halo = replay "HALO" (fun heap -> Halo_policy.policy costs heap halo_plan cls) None in
-      let block =
-        replay "Block" (fun heap -> Block_policy.policy costs heap block_plan cls) None
-      in
-      let prefix_run plan =
-        replay (Plan.variant_name plan.Plan.variant)
-          (fun heap -> Prefix_policy.policy costs heap plan cls)
-          (Some plan)
-      in
-      ( baseline,
-        hds,
-        halo,
-        block,
-        prefix_run plan_hot,
-        prefix_run plan_hds,
-        prefix_run plan_hdshot )
-  in
-  { wl;
-    profiling_trace;
-    long_source;
-    long_events;
-    profiling_stats;
-    long_stats;
-    baseline;
-    hds;
-    halo;
-    block;
-    prefix_hot;
-    prefix_hds;
-    prefix_hdshot;
-    long_hot_set;
-    long_hds_set }
+      outcomes)
 
 (* A benchmark that dies mid-flight (strict-replay anomaly, guardrail
    breach, I/O failure) can never hand its result — and therefore its

@@ -45,23 +45,19 @@ val long_packed : result -> Prefix_trace.Packed.t
     produced in streaming mode (experiments that need random access pay
     the memory cost only then). *)
 
-val long_stream : result -> Prefix_trace.Stream.t
-(** The evaluation trace as a segment stream (cheap in both modes). *)
-
-val long_trace : result -> Prefix_trace.Trace.t
-(** Boxed view of {!long_packed} — materializes; prefer the packed or
-    streamed accessors. *)
-
 val seed : int
 (** The fixed experiment seed (7). *)
 
 val set_streaming : bool -> unit
-(** When true, [run_benchmark] evaluates the long run via
+(** When true, [run_benchmark] evaluates the long run via a re-runnable
     {!Prefix_trace.Stream}: generation, analysis, stream detection and
-    all seven policy replays hold one segment of trace memory at a time,
-    and results are identical to the materialized path (the CLI's
-    [--stream] flag).  Configure before the first run — the memo cache
-    does not distinguish modes. *)
+    the seven-policy fan-out pass hold one segment of trace memory at a
+    time.  When false the long run is generated and packed once and
+    replayed as a one-segment stream.  Either way the seven policies
+    replay in one {!Prefix_runtime.Executor.run_stream_many} pass and
+    results are identical (the CLI's [--stream] flag).  Configure
+    before the first run — the memo cache does not distinguish
+    modes. *)
 
 val set_segment_events : int option -> unit
 (** Segment size (events) for streamed evaluation; [None] uses
@@ -82,12 +78,11 @@ val set_eval_scale : Prefix_workloads.Workload.scale -> unit
     streaming engine's target, ~10x longer). *)
 
 val set_decode_once : bool -> unit
-(** When true (and streaming), the seven policy replays run as consumers
-    of a single decode pass ({!Prefix_runtime.Executor.run_stream_many})
-    instead of each re-decoding the evaluation stream — one decode for
-    seven replays.  Reports are byte-identical to the per-policy path
-    (CI diffs them).  Off by default; the CLI's [--decode-once] flag.
-    Configure before the first run. *)
+(** No-op, kept for callers of the retired switch: every run now
+    replays its seven policies as consumers of a single decode pass
+    ({!Prefix_runtime.Executor.run_stream_many}), which is what this
+    setter used to turn on.  The CLI's deprecated [--decode-once] flag
+    is likewise ignored. *)
 
 val set_slot_mode : Prefix_core.Pipeline.slot_mode -> unit
 (** Recycling-slot assignment mode for the PreFix plans: [Modulo]
@@ -120,17 +115,40 @@ val profile_plans :
     one profile, as [run_benchmark] builds them: all four share one OHDS
     detection, run in a "hds-detection" span. *)
 
+val evaluate :
+  Prefix_workloads.Workload.t ->
+  profiling_trace:Prefix_trace.Trace.t ->
+  long_source:long_source ->
+  long_stats:Prefix_trace.Trace_stats.t ->
+  long_hds:int list ->
+  replay:
+    ((Prefix_heap.Allocator.t -> Prefix_runtime.Policy.t) list ->
+    Prefix_runtime.Executor.outcome list) ->
+  result
+(** The benchmark assembly both runners share, given the long run's
+    statistics and HDS object ids: analyze the profile, classify the
+    long run (hot set, HDS set), build the six plans, hand the seven
+    policies in report order to [replay] — one plain fan-out pass in
+    {!run_benchmark}, a checkpointed one in {!Durable.run_benchmark} —
+    and assemble the result from the seven outcomes it returns, in the
+    same order.  Raises [Invalid_argument] if [replay] returns another
+    number of outcomes. *)
+
 val run_benchmark : Prefix_workloads.Workload.t -> result
-(** Run one benchmark end to end (not cached). *)
+(** Run one benchmark end to end (not cached): generate (or stream) the
+    evaluation trace, measure it, and {!evaluate} it with one
+    {!Prefix_runtime.Executor.run_stream_many} pass over the evaluation
+    stream. *)
 
 val set_jobs : int -> unit
 (** Default degree of parallelism for {!run_all} / {!run_many} when no
     explicit [?jobs] is given.  Starts at 1 — the exact legacy
     sequential path; the CLI's [--jobs] flag lands here.  Values are
-    clamped to [>= 1].  At [jobs >= 2], streamed replays additionally
-    pipeline their decode ({!Prefix_trace.Stream.prefetched}): segment
-    N+1 is decoded on a prefetch worker while segment N replays.
-    Reports are unaffected — bit-identical whatever [jobs] is. *)
+    clamped to [>= 1].  At [jobs >= 2], a streamed evaluation
+    additionally pipelines its decode ({!Prefix_trace.Stream.prefetched}):
+    segment N+1 is decoded on a prefetch worker while all seven
+    sessions replay segment N.  Reports are unaffected — bit-identical
+    whatever [jobs] is. *)
 
 val run_all : ?jobs:int -> unit -> result list
 (** All 13 benchmarks, memoized for the lifetime of the process.
@@ -155,4 +173,4 @@ val find : string -> result
     [--verbose] / [--log-level info] to the CLI — to see it.  Each
     benchmark run is additionally wrapped in a ["benchmark:<name>"]
     observability span whose children cover trace generation, the
-    analysis passes, planning and every policy replay. *)
+    analysis passes, planning and the seven-policy ["replay:fanout"]. *)

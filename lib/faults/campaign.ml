@@ -39,9 +39,6 @@ type config = {
   region_cap : int option;
       (** per-region byte cap for HDS/HALO in the lenient replay, to
           exercise exhaustion degradation *)
-  stream : bool;
-      (** replay the clean reference leg through the streaming engine
-          ([Executor.run_stream]) instead of the packed fast path *)
 }
 
 let default_config =
@@ -50,8 +47,7 @@ let default_config =
     kinds = Injector.all_kinds;
     seeds = 8;
     rate = 0.01;
-    region_cap = None;
-    stream = false }
+    region_cap = None }
 
 type run = {
   bench : string;
@@ -96,7 +92,7 @@ type bench_ctx = {
 
 let profile_seed = 7
 
-let bench_ctx ?(policies = all_policies) ?(stream = false) name =
+let bench_ctx ?(policies = all_policies) name =
   let wl = Registry.find name in
   let trace = wl.generate ~scale:Workload.Profiling ~seed:profile_seed () in
   let packed = Prefix_trace.Packed.of_trace trace in
@@ -122,14 +118,7 @@ let bench_ctx ?(policies = all_policies) ?(stream = false) name =
   let clean_refs =
     List.map
       (fun (p, mk) ->
-        (* The clean reference leg optionally goes through the streaming
-           engine — byte-identical metrics, exercised by `fuzz --stream`. *)
-        let o =
-          if stream then
-            Executor.run_stream ~policy:(mk Policy.Strict None)
-              (Prefix_trace.Stream.of_packed packed)
-          else Executor.run_packed ~policy:(mk Policy.Strict None) packed
-        in
+        let o = Executor.run_packed ~policy:(mk Policy.Strict None) packed in
         (p, o.Executor.metrics.mem_refs))
       pols
   in
@@ -212,7 +201,7 @@ let run ?(jobs = 1) ?(progress = fun _ -> ()) cfg =
     Pool.map pool
       (fun bench ->
         progress (Printf.sprintf "campaign: %s" bench);
-        bench_ctx ~policies:cfg.policies ~stream:cfg.stream bench)
+        bench_ctx ~policies:cfg.policies bench)
       cfg.benches
   in
   (* Phase 2: the benches x policies x kinds x seeds grid, sharded one

@@ -31,15 +31,11 @@ type config = {
       (** per-region byte cap for HDS/HALO pools (and the Block
           policy's block space) during the lenient replay, to exercise
           exhaustion -> malloc degradation *)
-  stream : bool;
-      (** replay the clean reference leg through
-          {!Prefix_runtime.Executor.run_stream} instead of the packed
-          fast path (byte-identical metrics) *)
 }
 
 val default_config : config
 (** All 13 benchmarks, all four policies, every fault kind, 8 seeds,
-    1% rate, no region cap, materialized clean leg. *)
+    1% rate, no region cap. *)
 
 type run = {
   bench : string;

@@ -290,10 +290,10 @@ let ot_remove t obj =
    thread memo, counters) lives in the session, and [replay_segment]
    advances it by one packed segment whose first event has global index
    [base].  [run_packed] is then a session over a single segment and
-   [run_stream] the same session folded over {!Stream.iter_segments} —
-   by construction the two observe identical event sequences and global
-   indices, which is what makes streamed outcomes exactly equal to
-   materialized ones. *)
+   [run_stream_many] the same sessions folded over
+   {!Stream.iter_segments} — by construction the two observe identical
+   event sequences and global indices, which is what makes streamed
+   outcomes exactly equal to materialized ones. *)
 
 type session = {
   ss_config : config;
@@ -775,37 +775,25 @@ let run_packed ?(config = default_config) ?(mode = Policy.Strict) ?heatmap_objs
   replay_segment st ~base:0 packed;
   session_finish st
 
-let run_stream ?(config = default_config) ?(mode = Policy.Strict) ?heatmap_objs
-    ?(attribute = false) ~policy stream =
-  let heap = Allocator.create () in
-  let p = policy heap in
-  (* The event count is unknown until the stream is consumed, so the
-     span advertises the mode instead. *)
-  Span.with_ ~cat:"executor"
-    ~args:[ ("policy", p.Policy.name); ("events", "streamed") ]
-    ("replay:" ^ p.Policy.name)
-  @@ fun () ->
-  let st = session_create ~config ~mode ~heatmap_objs ~attribute ~heap ~p in
-  Stream.iter_segments stream (fun ~base seg -> replay_segment st ~base seg);
-  session_finish st
+let sessions_create ?(config = default_config) ?(mode = Policy.Strict) ?heatmap_objs
+    ?(attribute = false) policies =
+  List.map
+    (fun policy ->
+      let heap = Allocator.create () in
+      let p = policy heap in
+      session_create ~config ~mode ~heatmap_objs ~attribute ~heap ~p)
+    policies
 
-(* Decode-once fan-out: one pass over the stream feeds every policy's
-   session in turn before the next segment is decoded, so N replays
-   cost one decode instead of N.  Sessions are fully independent (own
-   heap, policy, caches, object table, counters) and each one sees
-   exactly the segment sequence and global indices [run_stream] would
-   hand it, so every outcome is identical to its per-policy run — the
-   only thing that changes is how many times the file is decoded. *)
-let run_stream_many ?(config = default_config) ?(mode = Policy.Strict) ~policies
-    stream =
-  let states =
-    List.map
-      (fun policy ->
-        let heap = Allocator.create () in
-        let p = policy heap in
-        session_create ~config ~mode ~heatmap_objs:None ~attribute:false ~heap ~p)
-      policies
-  in
+(* Decode-once fan-out, the one streamed entry point: one pass over the
+   stream feeds every policy's session in turn before the next segment
+   is decoded, so N replays cost one decode instead of N.  Sessions are
+   fully independent (own heap, policy, caches, object table, counters,
+   heatmap, attribution) and each one sees exactly the segment sequence
+   and global indices of the stream, so every outcome is identical to
+   its policy's replay alone — a one-policy streamed replay is simply a
+   fan-out of one. *)
+let run_stream_many ?config ?mode ?heatmap_objs ?attribute ~policies stream =
+  let states = sessions_create ?config ?mode ?heatmap_objs ?attribute policies in
   let names = String.concat "," (List.map (fun st -> st.ss_p.Policy.name) states) in
   Span.with_ ~cat:"executor"
     ~args:[ ("policies", names); ("events", "streamed") ]

@@ -84,38 +84,27 @@ val run_packed :
     memoized last-thread cache slot.  A packed trace is read-only here
     and can be shared across policies and worker domains. *)
 
-val run_stream :
+val run_stream_many :
   ?config:config ->
   ?mode:Policy.mode ->
   ?heatmap_objs:(int -> bool) ->
   ?attribute:bool ->
-  policy:(Prefix_heap.Allocator.t -> Policy.t) ->
-  Prefix_trace.Stream.t ->
-  outcome
-(** Bounded-memory replay: the same per-segment loop as {!run_packed}
-    folded over {!Prefix_trace.Stream.iter_segments}, holding one
-    segment of trace memory at a time.  All replay state (heap, caches,
-    object table, counters, observability snapshots keyed on the global
-    event index) carries across segment boundaries, so the outcome —
-    metrics, recovery counters, heatmap, attribution, and strict-mode
-    exceptions — is exactly what {!run_packed} produces on the
-    materialized trace. *)
-
-val run_stream_many :
-  ?config:config ->
-  ?mode:Policy.mode ->
   policies:(Prefix_heap.Allocator.t -> Policy.t) list ->
   Prefix_trace.Stream.t ->
   outcome list
-(** Decode-once fan-out: one pass over the stream hands each decoded
-    segment to every policy's session in turn before the next segment
-    is decoded, so N policies cost one decode instead of N.  Sessions
-    are fully independent, and each observes exactly the segment
-    sequence and global indices {!run_stream} would give it — every
-    outcome (metrics, recovery, strict-mode exceptions) is identical
-    to the corresponding per-policy {!run_stream}.  Outcomes are
-    returned in [policies] order.  Heatmaps and attribution are not
-    supported on this path (use {!run_stream} for diagnostics). *)
+(** Bounded-memory, decode-once replay — the one streamed entry point:
+    one pass over the stream hands each segment to every policy's
+    session in turn before the next segment is decoded, so N policies
+    cost one decode instead of N and a pass holds one segment of trace
+    memory at a time.  All replay state (heap, caches, object table,
+    counters, heatmap, attribution, telemetry cursor keyed on the
+    global event index) carries across segment boundaries, and
+    sessions are fully independent: each outcome — metrics, recovery
+    counters, heatmap, attribution, and strict-mode exceptions — is
+    exactly what {!run_packed} produces for that policy on the
+    materialized trace.  [heatmap_objs] and [attribute] apply to every
+    session.  Outcomes are returned in [policies] order; a one-policy
+    streamed replay is a fan-out of one. *)
 
 val run_boxed :
   ?config:config ->
@@ -140,10 +129,10 @@ val run_baseline :
     simulated heap, policy state (regions, arenas, recycle slots),
     cache/TLB arrays, dense object table, recovery counters,
     heatmap/attribution, telemetry cursor — lives in a [session].
-    {!run_packed} is a session over one segment; {!run_stream} folds
-    one over every segment.  Exposing the session lets callers pause a
-    replay at a segment boundary, serialize it, and resume later (the
-    checkpoint machinery of {!Checkpoint}). *)
+    {!run_packed} is a session over one segment; {!run_stream_many}
+    folds one per policy over every segment.  Exposing the session lets
+    callers pause a replay at a segment boundary, serialize it, and
+    resume later (the checkpoint machinery of {!Checkpoint}). *)
 
 type session
 
@@ -156,6 +145,17 @@ val session_create :
   p:Policy.t ->
   session
 (** [p] must have been instantiated on [heap]. *)
+
+val sessions_create :
+  ?config:config ->
+  ?mode:Policy.mode ->
+  ?heatmap_objs:(int -> bool) ->
+  ?attribute:bool ->
+  (Prefix_heap.Allocator.t -> Policy.t) list ->
+  session list
+(** One fresh session per policy, in order, each on its own heap — the
+    sessions {!run_stream_many} folds over the stream, for callers that
+    drive (and checkpoint) the fan-out themselves. *)
 
 val replay_segment : session -> base:int -> Prefix_trace.Packed.t -> unit
 (** Advance the session by one packed segment whose first event has

@@ -67,20 +67,24 @@ let of_trace ?segment_events trace =
   create ?segment_events (fun push -> Trace.iter push trace)
 
 (* Already-packed traces are segmented by array blits — the per-event
-   boxing path of [create] is bypassed entirely. *)
+   boxing path of [create] is bypassed entirely.  A trace that fits in
+   one segment is emitted as itself: no buffer, no copy. *)
 let of_packed ?(segment_events = default_segment_events) packed =
   check_segment_events ~who:"Stream.of_packed" segment_events;
   let feed emit =
-    let buf = Packed.Buf.create segment_events in
     let n = Packed.length packed in
-    let pos = ref 0 in
-    while !pos < n do
-      let len = min segment_events (n - !pos) in
-      Packed.Buf.clear buf;
-      Packed.Buf.blit_packed buf packed ~pos:!pos ~len;
-      emit (Packed.Buf.view buf);
-      pos := !pos + len
-    done
+    if n <= segment_events then (if n > 0 then emit packed)
+    else begin
+      let buf = Packed.Buf.create segment_events in
+      let pos = ref 0 in
+      while !pos < n do
+        let len = min segment_events (n - !pos) in
+        Packed.Buf.clear buf;
+        Packed.Buf.blit_packed buf packed ~pos:!pos ~len;
+        emit (Packed.Buf.view buf);
+        pos := !pos + len
+      done
+    end
   in
   { segment_events; feed }
 

@@ -43,7 +43,9 @@ val of_trace : ?segment_events:int -> Trace.t -> t
 
 val of_packed : ?segment_events:int -> Packed.t -> t
 (** Segments are produced by array blits from the packed trace — no
-    per-event boxing. *)
+    per-event boxing.  A trace of at most [segment_events] events is
+    emitted as itself (one segment, physically the argument), so a
+    one-segment stream replays straight off the packed arrays. *)
 
 val of_text_file : ?segment_events:int -> string -> t
 (** Streams the textual format line by line ({!Serialize}); never holds

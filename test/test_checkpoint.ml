@@ -344,6 +344,45 @@ let test_durable_refuses_foreign_directory () =
     Alcotest.(check bool) "names the mismatch" true
       (String.length msg > 0)
 
+(* One directory may hold benchmarks checkpointed under different
+   settings; resume finishes each under its own manifest's. *)
+let test_resume_mixed_configurations () =
+  let streamed = durable_cfg and materialized ~dir = { (durable_cfg ~dir) with streaming = false } in
+  let libc = Registry.find "libc" and mcf = Registry.find "mcf" in
+  with_temp_dir @@ fun clean_dir ->
+  let clean_libc = Durable.render (Durable.run_benchmark (streamed ~dir:clean_dir) libc) in
+  let clean_mcf = Durable.render (Durable.run_benchmark (materialized ~dir:clean_dir) mcf) in
+  with_temp_dir @@ fun dir ->
+  ignore (Durable.run_benchmark (streamed ~dir) libc);
+  (match run_killed (materialized ~dir) mcf ~kill_after:3 with
+  | None -> ()
+  | Some _ -> Alcotest.fail "expected the mcf run to be interrupted");
+  let names, results =
+    Durable.resume ~dir ~every:1 ~guardrails:Checkpoint.no_guardrails
+  in
+  Alcotest.(check (list string)) "benchmarks" [ "libc"; "mcf" ] names;
+  Alcotest.(check (list string)) "reports" [ clean_libc; clean_mcf ]
+    (List.map Durable.render results)
+
+(* A non-positive checkpoint interval is refused before any work. *)
+let test_every_must_be_positive () =
+  let wl = Registry.find "libc" in
+  with_temp_dir @@ fun dir ->
+  let cfg = durable_cfg ~dir in
+  let refused what f =
+    match f () with
+    | _ -> Alcotest.fail (what ^ " accepted every = 0")
+    | exception Invalid_argument _ -> ()
+  in
+  refused "run_benchmark" (fun () -> Durable.run_benchmark { cfg with every = 0 } wl);
+  Alcotest.(check bool) "nothing written" false
+    (Sys.file_exists (Filename.concat dir wl.name));
+  (match run_killed cfg wl ~kill_after:2 with
+  | None -> ()
+  | Some _ -> Alcotest.fail "expected the run to be interrupted");
+  refused "resume" (fun () ->
+      Durable.resume ~dir ~every:0 ~guardrails:Checkpoint.no_guardrails)
+
 let suite =
   [ ( "checkpoint",
       [ Alcotest.test_case "session snapshot roundtrips mid-replay" `Quick
@@ -364,4 +403,7 @@ let suite =
         Alcotest.test_case "pooled (jobs=2) kill/resume" `Quick
           test_durable_jobs2_kill_resume;
         Alcotest.test_case "refuses a foreign directory" `Quick
-          test_durable_refuses_foreign_directory ] ) ]
+          test_durable_refuses_foreign_directory;
+        Alcotest.test_case "resume with mixed configurations" `Quick
+          test_resume_mixed_configurations;
+        Alcotest.test_case "every must be positive" `Quick test_every_must_be_positive ] ) ]

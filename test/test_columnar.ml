@@ -3,10 +3,10 @@
    - round-trip: packed -> columnar bytes -> packed is the identity,
      for workload traces, injector-corrupted traces (negative values),
      hand-built extremes (min_int/max_int) and qcheck event soup;
-   - replay equivalence: [Executor.run_stream] over a spooled columnar
-     file produces the same outcome as [Executor.run_packed] on the
-     original trace — strict, lenient, every injector fault kind, and
-     strict-raise parity;
+   - replay equivalence: a streamed replay (a fan-out of one) over a
+     spooled columnar file produces the same outcome as
+     [Executor.run_packed] on the original trace — strict, lenient,
+     every injector fault kind, and strict-raise parity;
    - corruption: the strict reader rejects (never raises on) byte
      flips and truncations; the lenient reader pins the exact lost
      event range, mirroring the Binfmt v2 guarantees;
@@ -144,8 +144,9 @@ let check_stream_same ~what ?mode ?heatmap_objs ?attribute trace =
   let packed = Executor.run_packed ?mode ?heatmap_objs ?attribute ~policy:baseline p in
   let streamed =
     with_columnar_file ~frame_events:700 p (fun path ->
-        Executor.run_stream ?mode ?heatmap_objs ?attribute ~policy:baseline
-          (Stream.of_binary_file path))
+        List.hd
+          (Executor.run_stream_many ?mode ?heatmap_objs ?attribute ~policies:[ baseline ]
+             (Stream.of_binary_file path)))
   in
   Alcotest.(check bool) (what ^ ": metrics") true
     (packed.Executor.metrics = streamed.Executor.metrics);
@@ -206,7 +207,9 @@ let prop_stream_strict_raises_same =
       let streamed =
         with_columnar_file ~frame_events:64 p (fun path ->
             outcome_of (fun () ->
-                Executor.run_stream ~policy:baseline (Stream.of_binary_file path)))
+                List.hd
+                  (Executor.run_stream_many ~policies:[ baseline ]
+                     (Stream.of_binary_file path))))
       in
       packed = streamed)
 

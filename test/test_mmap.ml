@@ -8,8 +8,9 @@
      containers, and [Stream.of_binary_file] segments concatenate to
      the trace and cut at every frame boundary;
    - pipeline equivalence: [Stream.prefetched] emits its inner
-     stream's exact segment sequence, and [Executor.run_stream_many]
-     matches per-policy [Executor.run_stream] outcome-for-outcome. *)
+     stream's exact segment sequence, and a fan-out of N policies
+     ([Executor.run_stream_many]) matches N fan-outs of one
+     outcome-for-outcome. *)
 
 open Prefix_trace
 module Bigio = Prefix_util.Bigio
@@ -210,11 +211,9 @@ let test_prefetched_replay_equal () =
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
       Columnar.write_file path p;
-      let plain = Executor.run_stream ~policy:baseline (Stream.of_binary_file path) in
-      let pre =
-        Executor.run_stream ~policy:baseline
-          (Stream.prefetched (Stream.of_binary_file path))
-      in
+      let replay s = List.hd (Executor.run_stream_many ~policies:[ baseline ] s) in
+      let plain = replay (Stream.of_binary_file path) in
+      let pre = replay (Stream.prefetched (Stream.of_binary_file path)) in
       Alcotest.(check bool) "metrics" true
         (plain.Executor.metrics = pre.Executor.metrics);
       Alcotest.(check bool) "recovery" true
@@ -262,7 +261,7 @@ let test_run_stream_many_equal () =
       Alcotest.(check int) "outcome count" (List.length policies) (List.length fanned);
       List.iteri
         (fun i (policy, (o : Executor.outcome)) ->
-          let solo = Executor.run_stream ~policy stream in
+          let solo = List.hd (Executor.run_stream_many ~policies:[ policy ] stream) in
           Alcotest.(check bool) (Printf.sprintf "policy %d metrics" i) true
             (solo.Executor.metrics = o.Executor.metrics);
           Alcotest.(check bool) (Printf.sprintf "policy %d recovery" i) true
@@ -270,14 +269,16 @@ let test_run_stream_many_equal () =
         (List.combine policies fanned))
 
 let prop_run_stream_many_strict_raises_same =
-  QCheck.Test.make ~name:"run_stream_many ≡ run_stream on strict anomaly detection"
+  QCheck.Test.make
+    ~name:"run_stream_many ≡ run_stream_many of one on strict anomaly detection"
     ~count:40 (QCheck.make soup_gen)
     (fun es ->
       let p = Packed.of_trace (Trace.of_list es) in
       let stream = Stream.of_packed ~segment_events:64 p in
       let solo =
-        match Executor.run_stream ~policy:baseline stream with
-        | (o : Executor.outcome) -> Ok o.Executor.metrics
+        match Executor.run_stream_many ~policies:[ baseline ] stream with
+        | [ (o : Executor.outcome) ] -> Ok o.Executor.metrics
+        | _ -> Error "wrong outcome arity"
         | exception Invalid_argument m -> Error m
       in
       let fanned =
@@ -314,6 +315,6 @@ let suite =
           test_prefetched_replay_equal;
         Alcotest.test_case "prefetched re-raises consumer exceptions" `Quick
           test_prefetched_consumer_abort;
-        Alcotest.test_case "run_stream_many ≡ per-policy run_stream" `Quick
+        Alcotest.test_case "run_stream_many ≡ per-policy fan-outs of one" `Quick
           test_run_stream_many_equal;
         QCheck_alcotest.to_alcotest prop_run_stream_many_strict_raises_same ] ) ]

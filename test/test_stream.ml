@@ -1,8 +1,9 @@
 (* The bounded-memory streaming engine, tested differentially against
    the materialized paths it mirrors:
 
-   - Executor.run_stream ≡ Executor.run_packed (strict and lenient, on
-     workload traces, injector-corrupted streams and arbitrary soup);
+   - a streamed replay (Executor.run_stream_many, a fan-out of one) ≡
+     Executor.run_packed (strict and lenient, on workload traces,
+     injector-corrupted streams and arbitrary soup);
    - Trace_stats.analyze_stream ≡ Trace_stats.analyze_packed;
    - Detector over a stream ≡ Detector over the materialized trace;
    - Workload.generate_stream ≡ Workload.generate, for all 13 models;
@@ -42,8 +43,9 @@ let check_same ~what ?mode ?heatmap_objs ?attribute trace =
       (Packed.of_trace trace)
   in
   let streamed =
-    Executor.run_stream ?mode ?heatmap_objs ?attribute ~policy:baseline
-      (Stream.of_trace ~segment_events:seg trace)
+    List.hd
+      (Executor.run_stream_many ?mode ?heatmap_objs ?attribute ~policies:[ baseline ]
+         (Stream.of_trace ~segment_events:seg trace))
   in
   Alcotest.(check bool) (what ^ ": metrics") true
     (streamed.Executor.metrics = packed.Executor.metrics);
@@ -82,6 +84,26 @@ let test_roundtrips () =
   let via_packed = Stream.to_packed (Stream.of_packed ~segment_events:seg packed) in
   Alcotest.(check bool) "of_packed/to_packed" true
     (Trace.to_list (Packed.to_trace via_packed) = Trace.to_list trace)
+
+(* A trace that fits in one segment is emitted as itself: the
+   materialized harness path replays straight off the packed arrays. *)
+let test_of_packed_one_segment () =
+  let packed = Packed.of_trace (workload_trace ()) in
+  let n = Packed.length packed in
+  let emitted segment_events =
+    let segs = ref [] in
+    Stream.iter_segments (Stream.of_packed ~segment_events packed) (fun ~base seg ->
+        segs := (base, seg) :: !segs);
+    !segs
+  in
+  List.iter
+    (fun segment_events ->
+      match emitted segment_events with
+      | [ (0, seg) ] -> Alcotest.(check bool) "the trace itself" true (seg == packed)
+      | _ -> Alcotest.fail "expected exactly one segment")
+    [ n; n + 1 ];
+  Alcotest.(check int) "split when larger than a segment" 2
+    (List.length (emitted (n - 1)))
 
 (* ---- executor differential ---- *)
 
@@ -163,8 +185,9 @@ let prop_lenient_soup =
         Executor.run_packed ~mode:Policy.Lenient ~policy:baseline (Packed.of_trace trace)
       in
       let streamed =
-        Executor.run_stream ~mode:Policy.Lenient ~policy:baseline
-          (Stream.of_trace ~segment_events trace)
+        List.hd
+          (Executor.run_stream_many ~mode:Policy.Lenient ~policies:[ baseline ]
+             (Stream.of_trace ~segment_events trace))
       in
       streamed.Executor.metrics = packed.Executor.metrics
       && recovery_list streamed.Executor.recovery = recovery_list packed.Executor.recovery)
@@ -184,7 +207,9 @@ let prop_strict_raises_same =
       in
       let streamed =
         outcome_of (fun () ->
-            Executor.run_stream ~policy:baseline (Stream.of_trace ~segment_events trace))
+            List.hd
+              (Executor.run_stream_many ~policies:[ baseline ]
+                 (Stream.of_trace ~segment_events trace)))
       in
       streamed = packed)
 
@@ -335,6 +360,8 @@ let suite =
   [ ( "stream",
       [ Alcotest.test_case "segment bases" `Quick test_segment_bases;
         Alcotest.test_case "round-trips" `Quick test_roundtrips;
+        Alcotest.test_case "of_packed emits one segment as itself" `Quick
+          test_of_packed_one_segment;
         Alcotest.test_case "strict workload" `Quick test_strict_workload;
         Alcotest.test_case "lenient workload" `Quick test_lenient_workload;
         Alcotest.test_case "heatmap + attribution" `Quick test_heatmap_attribution;

@@ -510,8 +510,8 @@ let prop_concurrent_export =
 (* ---- executor integration: streamed = materialized timelines ---- *)
 
 (* Event-derived timeline values must be identical between run_packed
-   and run_stream at every event-cadence tick, whatever the segment
-   size.  (Wall-clock poll rows are suppressed via a huge interval;
+   and a streamed fan-out of one at every event-cadence tick, whatever
+   the segment size.  (Wall-clock poll rows are suppressed via a huge interval;
    wall-derived columns like segment throughput are excluded.) *)
 let event_columns =
   [ "executor.live_objects"; "executor.heap_live_bytes"; "executor.cache_hit_rate";
@@ -550,7 +550,7 @@ let test_stream_timeline_matches_packed =
       in
       let rows_streamed =
         recorder_rows_of (fun () ->
-            Prefix_runtime.Executor.run_stream ~policy
+            Prefix_runtime.Executor.run_stream_many ~policies:[ policy ]
               (Prefix_trace.Stream.of_packed ~segment_events:7_777 packed))
       in
       check ci "same number of samples" (List.length rows_packed)

@@ -413,7 +413,8 @@ let stream_container_arg =
      (default) re-runs the deterministic workload generator each pass; \
      'columnar' spools the stream once into a compressed columnar (v3) \
      container and replays from the file — same segments, byte-identical \
-     report, with the on-disk decode path exercised end to end."
+     report, with the on-disk decode path exercised end to end.  'columnar' \
+     without --stream, or with --checkpoint, is refused (exit 2)."
   in
   Arg.(value
        & opt (enum [ ("generator", `Generator); ("columnar", `Columnar) ]) `Generator
@@ -448,6 +449,13 @@ let run_cmd =
       end
       else if checkpoint_every <= 0 then begin
         Printf.eprintf "prefix: error: --checkpoint-every must be positive\n";
+        2
+      end
+      else if stream_container = `Columnar && ((not stream) || checkpoint <> None)
+      then begin
+        Printf.eprintf
+          "prefix: error: --stream-container columnar requires --stream and no \
+           --checkpoint (a checkpointed run streams from the generator)\n";
         2
       end
       else

@@ -35,31 +35,6 @@ let scaled_config =
     l2_tlb_assoc = 6;
     page_bytes = 4096 }
 
-type t = {
-  l1 : Cache.t;
-  llc : Cache.t;
-  l1_tlb : Cache.t;
-  l2_tlb : Cache.t;
-}
-
-let create ?(config = paper_config) () =
-  { l1 =
-      Cache.create ~name:"L1D" ~size_bytes:config.l1_size ~assoc:config.l1_assoc
-        ~line_bytes:config.line_bytes ();
-    llc =
-      Cache.create ~name:"LLC" ~size_bytes:config.llc_size ~assoc:config.llc_assoc
-        ~line_bytes:config.line_bytes ();
-    l1_tlb =
-      Cache.create_entries ~name:"L1TLB" ~entries:config.l1_tlb_entries
-        ~assoc:config.l1_tlb_assoc ~page_bytes:config.page_bytes ();
-    l2_tlb =
-      Cache.create_entries ~name:"L2TLB" ~entries:config.l2_tlb_entries
-        ~assoc:config.l2_tlb_assoc ~page_bytes:config.page_bytes () }
-
-let access ?(write = false) t addr =
-  if not (Cache.access ~write t.l1 addr) then ignore (Cache.access ~write t.llc addr);
-  if not (Cache.access t.l1_tlb addr) then ignore (Cache.access t.l2_tlb addr)
-
 type counters = {
   refs : int;
   l1_misses : int;
@@ -68,24 +43,3 @@ type counters = {
   l2_tlb_misses : int;
   writebacks : int;
 }
-
-let counters t =
-  { refs = Cache.accesses t.l1;
-    l1_misses = Cache.misses t.l1;
-    llc_misses = Cache.misses t.llc;
-    l1_tlb_misses = Cache.misses t.l1_tlb;
-    l2_tlb_misses = Cache.misses t.l2_tlb;
-    writebacks = Cache.writebacks t.llc }
-
-let rate num den = if den = 0 then 0. else float_of_int num /. float_of_int den
-
-let l1_miss_rate t = Cache.miss_rate t.l1
-let llc_miss_rate t = rate (Cache.misses t.llc) (Cache.accesses t.l1)
-let l1_tlb_miss_rate t = Cache.miss_rate t.l1_tlb
-let l2_tlb_miss_rate t = rate (Cache.misses t.l2_tlb) (Cache.accesses t.l1_tlb)
-
-let flush t =
-  Cache.flush t.l1;
-  Cache.flush t.llc;
-  Cache.flush t.l1_tlb;
-  Cache.flush t.l2_tlb

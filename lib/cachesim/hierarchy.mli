@@ -4,10 +4,10 @@
     - LLC: 40 MB, 20-way, 64 B lines
     - L1 TLB: 64 entries, 4-way; L2 TLB: 1536 entries, 6-way; 4 KiB pages
 
-    Each data reference walks L1 → LLC → DRAM and the TLB in parallel.
-    Latencies feed the {!Cycles} model. *)
-
-type t
+    Each data reference walks L1 → LLC → DRAM and the TLB in parallel;
+    the replay executor builds these levels from a [config] (one private
+    L1 and TLB pair per thread, one shared LLC) and reports [counters],
+    which feed the {!Cycles} model. *)
 
 type config = {
   l1_size : int;
@@ -33,12 +33,6 @@ val scaled_config : config
     the working-set-to-cache ratios of the paper's testbed (see
     DESIGN.md). *)
 
-val create : ?config:config -> unit -> t
-
-val access : ?write:bool -> t -> int -> unit
-(** Simulate one data reference at a byte address; [write] marks the
-    line dirty for write-back accounting. *)
-
 type counters = {
   refs : int;  (** total data references *)
   l1_misses : int;
@@ -47,14 +41,3 @@ type counters = {
   l2_tlb_misses : int;  (** page walks *)
   writebacks : int;  (** dirty LLC lines written back to memory *)
 }
-
-val counters : t -> counters
-
-val l1_miss_rate : t -> float
-val llc_miss_rate : t -> float
-(** LLC misses over {e all} references, as Figure 12 plots. *)
-
-val l1_tlb_miss_rate : t -> float
-val l2_tlb_miss_rate : t -> float
-
-val flush : t -> unit

@@ -1,5 +1,4 @@
 module Packed = Prefix_trace.Packed
-module Stream = Prefix_trace.Stream
 module Trace = Prefix_trace.Trace
 
 type interval = {
@@ -13,7 +12,8 @@ type interval = {
   iv_freed : bool;
 }
 
-type t = { ivs : interval array; n_events : int }
+(* Sorted by [iv_start]. *)
+type t = interval array
 
 (* One live (not yet closed) incarnation. *)
 type live = {
@@ -29,11 +29,9 @@ type collector = {
   live : (int, live) Hashtbl.t;
   mutable closed : interval list;
   incarnations : (int, int) Hashtbl.t;
-  mutable events : int;
 }
 
-let collector () =
-  { live = Hashtbl.create 256; closed = []; incarnations = Hashtbl.create 256; events = 0 }
+let collector () = { live = Hashtbl.create 256; closed = []; incarnations = Hashtbl.create 256 }
 
 let close c obj (l : live) ~freed =
   c.closed <-
@@ -82,10 +80,7 @@ let feed c ~base packed =
         l.l_last <- base + i;
         l.l_size <- max l.l_size new_size
       | None -> ())
-    packed;
-  c.events <- base + Packed.length packed
-
-let events_fed c = c.events
+    packed
 
 let finish c =
   Hashtbl.iter (fun obj l -> close c obj l ~freed:false) c.live;
@@ -93,7 +88,7 @@ let finish c =
   let ivs = Array.of_list c.closed in
   (* Starts are distinct event indices, so this order is total. *)
   Array.sort (fun a b -> compare a.iv_start b.iv_start) ivs;
-  { ivs; n_events = c.events }
+  ivs
 
 let of_packed p =
   let c = collector () in
@@ -102,14 +97,7 @@ let of_packed p =
 
 let of_trace tr = of_packed (Packed.of_trace tr)
 
-let of_stream s =
-  let c = collector () in
-  Stream.iter_segments s (fun ~base p -> feed c ~base p);
-  finish c
-
-let intervals t = t.ivs
-let n_events t = t.n_events
-let length t = Array.length t.ivs
+let intervals t = t
 
 (* ---- Greedy interval-graph coloring ---------------------------------- *)
 
@@ -188,13 +176,13 @@ end
    exactly the maximum overlap.  [stop_of] lets callers pin intervals
    whose end is not trusted (never-freed objects keep their slot). *)
 let color_with t ~stop_of =
-  let n = Array.length t.ivs in
+  let n = Array.length t in
   let colors = Array.make n 0 in
   let active = Heap.create () in
   let free = Heap.create () in
   let next = ref 0 in
   for i = 0 to n - 1 do
-    let iv = t.ivs.(i) in
+    let iv = t.(i) in
     let rec drain () =
       match Heap.min_key active with
       | Some stop when stop < iv.iv_start ->
@@ -215,11 +203,7 @@ let color_with t ~stop_of =
     colors.(i) <- c;
     Heap.push active (stop_of iv) c
   done;
-  (colors, !next)
-
-let color t = color_with t ~stop_of:(fun iv -> iv.iv_stop)
-
-let max_overlap t = snd (color t)
+  colors
 
 let slot_assignment t ~sites ?required_ctx ~n_slots () =
   if n_slots <= 0 then invalid_arg "Intervals.slot_assignment: n_slots must be positive";
@@ -231,13 +215,12 @@ let slot_assignment t ~sites ?required_ctx ~n_slots () =
          (fun iv ->
            Hashtbl.mem site_set iv.iv_site
            && match required_ctx with None -> true | Some c -> iv.iv_ctx = c)
-         (Array.to_list t.ivs))
+         (Array.to_list t))
   in
-  let sub = { ivs = mine; n_events = t.n_events } in
   (* A never-freed object never releases its arena slot at runtime, so
      its interval is pinned open: later instances must not share it. *)
-  let colors, _ =
-    color_with sub ~stop_of:(fun iv -> if iv.iv_freed then iv.iv_stop else max_int)
+  let colors =
+    color_with mine ~stop_of:(fun iv -> if iv.iv_freed then iv.iv_stop else max_int)
   in
   (* Instance ids are 1-based positions in trace order over exactly the
      allocations that advance the runtime counter — [mine] is already in
@@ -259,7 +242,7 @@ let peak_live_bytes t ~sites =
     match site_set with None -> true | Some h -> Hashtbl.mem h iv.iv_site
   in
   let events =
-    Array.to_list t.ivs
+    Array.to_list t
     |> List.filter keep
     |> List.concat_map (fun iv ->
            let stop = if iv.iv_freed then iv.iv_stop else max_int in

@@ -29,31 +29,9 @@ type interval = {
 type t
 
 val of_trace : Prefix_trace.Trace.t -> t
-val of_packed : Prefix_trace.Packed.t -> t
-
-val of_stream : Prefix_trace.Stream.t -> t
-(** Identical intervals to {!of_packed} on the materialized trace, one
-    segment of trace memory at a time. *)
 
 val intervals : t -> interval array
 (** All intervals sorted by [iv_start]; treat as read-only. *)
-
-val length : t -> int
-(** Number of intervals (= allocation events seen). *)
-
-val n_events : t -> int
-(** Events the extraction consumed. *)
-
-val max_overlap : t -> int
-(** Maximum number of simultaneously-live intervals (by last-touch
-    liveness) — the chromatic number of the interval graph, i.e. the
-    slot count interval coloring needs. *)
-
-val color : t -> int array * int
-(** Greedy coloring over the start-sorted intervals: [(colors, n)]
-    where [colors.(i)] is interval [i]'s color in [0, n).  Greedy by
-    start order is optimal on interval graphs, so [n] =
-    {!max_overlap}. *)
 
 val slot_assignment :
   t -> sites:int list -> ?required_ctx:int -> n_slots:int -> unit -> (int * int) list
@@ -61,27 +39,17 @@ val slot_assignment :
     [sites]: instances are numbered 1.. in trace order over exactly the
     allocations that advance the runtime counter (filtered by site and,
     when given, the hybrid [required_ctx] gate), and slots come from
-    interval coloring instead of [(id-1) mod n].  Never-freed objects
-    are pinned open (their runtime slot is never released), so no later
-    instance shares their color.  Colors are reduced [mod n_slots] as a
-    defensive clamp; coloring needs at most the max overlap, which the
-    recycling sizing ({!Recycle.analyze}) already bounds by [n_slots].
+    greedy interval coloring instead of [(id-1) mod n]; greedy by start
+    order is optimal on interval graphs, so it needs exactly as many
+    colors as the maximum number of simultaneously-live instances.
+    Never-freed objects are pinned open (their runtime slot is never
+    released), so no later instance shares their color.  Colors are
+    reduced [mod n_slots] as a defensive clamp; coloring needs at most
+    the max overlap, which the recycling sizing ({!Recycle.analyze})
+    already bounds by [n_slots].
     Raises [Invalid_argument] when [n_slots <= 0]. *)
 
 val peak_live_bytes : t -> sites:int list option -> int
 (** Peak concurrently-live bytes (16-byte-aligned sizes) over the given
     sites ([None] = all), pinning never-freed objects open — the
     footprint a block allocator must provision for. *)
-
-(** {2 Online collector}
-
-    Same shape as {!Prefix_trace.Trace_stats.collector}: plain
-    marshal-safe data, [feed] segments in stream order, [finish] once.
-    [of_stream] is exactly collector/feed/finish. *)
-
-type collector
-
-val collector : unit -> collector
-val feed : collector -> base:int -> Prefix_trace.Packed.t -> unit
-val events_fed : collector -> int
-val finish : collector -> t

@@ -34,6 +34,7 @@ module Checkpoint = Prefix_runtime.Checkpoint
 module Detector = Prefix_hds.Detector
 module Hds = Prefix_hds.Hds
 module Fsio = Prefix_util.Fsio
+module Span = Prefix_obs.Span
 
 type t = {
   dir : string;  (* root checkpoint directory *)
@@ -281,23 +282,33 @@ let check_every every =
   if every <= 0 then
     invalid_arg (Printf.sprintf "checkpoint interval must be positive (got %d segments)" every)
 
+(* Each phase runs in the span [Harness.run_benchmark] gives it, so a
+   checkpointed run's --obs-out trace shows where its time went too. *)
 let run_benchmark cfg (wl : Workload.t) : Harness.result =
   check_every cfg.every;
   let bdir = cfg.dir / wl.name in
   Fsio.mkdir_p bdir;
+  Span.with_ ~cat:"harness" ~args:[ ("benchmark", wl.name) ] ("benchmark:" ^ wl.name)
+  @@ fun () ->
   let mon = Checkpoint.start cfg.guardrails in
-  let profiling_trace = wl.generate ~scale:Workload.Profiling ~seed:Harness.seed () in
+  let profiling_trace, long_trace =
+    Span.with_ ~cat:"harness" "generate-traces" (fun () ->
+        ( wl.generate ~scale:Workload.Profiling ~seed:Harness.seed (),
+          if cfg.streaming then None
+          else Some (wl.generate ~scale:cfg.scale ~seed:(Harness.seed + 1) ()) ))
+  in
   let digest = trace_digest profiling_trace in
   let meta = write_or_check_manifest cfg wl ~digest bdir in
   let long_source =
-    if cfg.streaming then
+    match long_trace with
+    | None ->
       Harness.Streamed
         (fun () ->
           Workload.generate_stream wl ~scale:cfg.scale ~seed:(Harness.seed + 1)
             ?segment_events:cfg.segment_events ())
-    else
+    | Some trace ->
       Harness.Materialized
-        (Packed.of_trace (wl.generate ~scale:cfg.scale ~seed:(Harness.seed + 1) ()))
+        (Span.with_ ~cat:"harness" "pack-traces" (fun () -> Packed.of_trace trace))
   in
   let mk_stream () =
     match long_source with
@@ -305,11 +316,20 @@ let run_benchmark cfg (wl : Workload.t) : Harness.result =
       Stream.of_packed ?segment_events:cfg.segment_events p
     | Harness.Streamed mk -> mk ()
   in
-  let long_stats = durable_stats cfg ~mon ~meta bdir mk_stream in
-  let long_hds = durable_class ~mon ~meta bdir long_stats mk_stream in
+  let long_stats =
+    Span.with_ ~cat:"pipeline" "trace-analysis" (fun () ->
+        durable_stats cfg ~mon ~meta bdir mk_stream)
+  in
+  let long_hds =
+    Span.with_ ~cat:"harness" "long-run-classification" (fun () ->
+        durable_class ~mon ~meta bdir long_stats mk_stream)
+  in
   Harness.evaluate wl ~profiling_trace ~long_source ~long_stats ~long_hds
     ~replay:(fun policies ->
-      let outcomes = durable_replay cfg ~mon ~meta bdir mk_stream policies in
+      let outcomes =
+        Span.with_ ~cat:"executor" "replay:fanout" (fun () ->
+            durable_replay cfg ~mon ~meta bdir mk_stream policies)
+      in
       Prefix_obs.Recorder.poll ~label:("durable:" ^ wl.name) ();
       outcomes)
 

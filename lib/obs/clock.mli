@@ -3,7 +3,7 @@
     Wall-clock time ([Unix.gettimeofday]) can jump backwards under NTP
     adjustment, which would produce negative span durations; all span
     timing therefore goes through the CLOCK_MONOTONIC stub that ships
-    with bechamel (the same clock the micro-benchmarks use). *)
+    with bechamel. *)
 
 val now_ns : unit -> int64
 (** Nanoseconds from an arbitrary (but fixed) origin.  Guaranteed

@@ -806,10 +806,10 @@ let run_stream_many ?config ?mode ?heatmap_objs ?attribute ~policies stream =
 (* ---- boxed reference path --------------------------------------------
 
    The seed implementation, kept verbatim as the differential oracle:
-   tests, the throughput benchmark and the CI smoke step replay traces
-   through both paths and require identical metrics and recovery
-   counters.  Functional changes belong in [run_packed]; this loop only
-   changes when the replay semantics themselves do. *)
+   the tests and the benchmark's report check replay traces through
+   both paths and require identical metrics and recovery counters.
+   Functional changes belong in [run_packed]; this loop only changes
+   when the replay semantics themselves do. *)
 
 let run_boxed ?(config = default_config) ?(mode = Policy.Strict) ?heatmap_objs
     ?(attribute = false) ~policy trace =

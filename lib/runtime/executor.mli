@@ -116,8 +116,8 @@ val run_boxed :
   outcome
 (** The original event-by-event reference interpreter over the boxed
     trace, kept as the differential-testing oracle for {!run_packed}:
-    tests and the throughput benchmark replay through both and require
-    identical outcomes.  Not used on any hot path. *)
+    the tests and the benchmark's report check replay through both and
+    require identical outcomes.  Not used on any hot path. *)
 
 val run_baseline :
   ?config:config -> ?mode:Policy.mode -> Prefix_trace.Trace.t -> outcome

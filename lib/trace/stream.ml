@@ -45,21 +45,10 @@ let iter_segments t f =
       f ~base:!base seg;
       base := !base + Packed.length seg)
 
-let iter_events t f =
-  iter_segments t (fun ~base seg ->
-      for i = 0 to Packed.length seg - 1 do
-        f (base + i) (Packed.get seg i)
-      done)
-
 let length t =
   let n = ref 0 in
   iter_segments t (fun ~base:_ seg -> n := !n + Packed.length seg);
   !n
-
-let fold_segments t ~init ~f =
-  let acc = ref init in
-  iter_segments t (fun ~base seg -> acc := f !acc ~base seg);
-  !acc
 
 (* ---- sources --------------------------------------------------------- *)
 
@@ -278,7 +267,10 @@ let to_columnar_file ?frame_events t path =
 
 let to_trace t =
   let trace = Trace.create () in
-  iter_events t (fun _ e -> Trace.add trace e);
+  iter_segments t (fun ~base:_ seg ->
+      for i = 0 to Packed.length seg - 1 do
+        Trace.add trace (Packed.get seg i)
+      done);
   trace
 
 let to_packed t = Packed.of_trace (to_trace t)

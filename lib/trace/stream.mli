@@ -28,12 +28,6 @@ val iter_segments : t -> (base:int -> Packed.t -> unit) -> unit
     reused buffer — they are valid only for the duration of the
     callback and must not be retained. *)
 
-val iter_events : t -> (int -> Event.t -> unit) -> unit
-(** Boxed per-event iteration (cold paths / tests); the [int] is the
-    global event index. *)
-
-val fold_segments : t -> init:'a -> f:('a -> base:int -> Packed.t -> 'a) -> 'a
-
 val length : t -> int
 (** Total event count; consumes one full pass. *)
 

@@ -1,8 +1,9 @@
 (* Tests for the interval-colored block policy layer: Blockalloc state
    transitions, line-granular reclamation, hole reuse and exact byte
-   accounting, plus a differential check of the liveness-interval
+   accounting, a differential check of the liveness-interval
    extraction against a naive O(n^2) oracle — over clean, corrupted
-   and id-reusing traces. *)
+   and id-reusing traces — and the footprint invariants of the Block
+   policy and of interval-colored recycling slots. *)
 
 module Allocator = Prefix_heap.Allocator
 module Blockalloc = Prefix_blockpolicy.Blockalloc
@@ -10,6 +11,10 @@ module Intervals = Prefix_core.Intervals
 module Trace = Prefix_trace.Trace
 module Event = Prefix_trace.Event
 module Injector = Prefix_faults.Injector
+module Executor = Prefix_runtime.Executor
+module Policy = Prefix_runtime.Policy
+module Block_policy = Prefix_runtime.Block_policy
+module Pipeline = Prefix_core.Pipeline
 
 let check = Alcotest.check
 let ci = Alcotest.int
@@ -280,6 +285,74 @@ let test_intervals_incarnations () =
     "pinned coloring: unfreed slot private, freed slot reused"
     [ (1, 0); (2, 1); (3, 1) ] assignment
 
+(* ---- footprint invariants of the placement policies ---- *)
+
+(* Replays [trace] under baseline, the Block policy, and PreFix:HDS+Hot
+   planned from [trace] with modulo slots and with interval slots.
+   Returns the four replays' memory references and the two PreFix
+   replays' recycling evictions. *)
+let slot_mode_replays trace =
+  let costs = Executor.default_config.costs in
+  let cls = Policy.no_classification in
+  let packed = Prefix_trace.Packed.of_trace trace in
+  let stats = Prefix_trace.Trace_stats.analyze_packed packed in
+  let replay mk =
+    let p = ref None in
+    let policy heap =
+      let pol = mk heap in
+      p := Some pol;
+      pol
+    in
+    let o = Executor.run_packed ~policy packed in
+    (o.metrics.mem_refs, (Option.get !p).Policy.stats.recycle_evictions)
+  in
+  let prefix slot_mode =
+    let config = { Pipeline.default_config with slot_mode } in
+    let plan = Pipeline.plan_with_stats ~config ~variant:Prefix_core.Plan.HdsHot stats trace in
+    replay (fun heap -> Prefix_runtime.Prefix_policy.policy costs heap plan cls)
+  in
+  let block_plan = Block_policy.plan_of_trace trace in
+  let base_refs, _ = replay (Policy.baseline costs) in
+  let block_refs, _ = replay (fun heap -> Block_policy.policy costs heap block_plan cls) in
+  let mod_refs, mod_ev = prefix Pipeline.Modulo in
+  let int_refs, int_ev = prefix Pipeline.Interval in
+  ([ base_refs; block_refs; mod_refs; int_refs ], mod_ev, int_ev)
+
+(* Placement never changes the memory-reference stream, and interval
+   coloring never evicts more than modulo-N does. *)
+let test_slot_modes_on_workloads () =
+  List.iter
+    (fun name ->
+      let wl = Prefix_workloads.Registry.find name in
+      let refs, mod_ev, int_ev = slot_mode_replays (wl.generate ~scale:Profiling ~seed:7 ()) in
+      check (Alcotest.list ci) (name ^ ": mem_refs of baseline, Block, modulo, interval")
+        (List.map (fun _ -> List.hd refs) refs)
+        refs;
+      check cb (name ^ ": interval evicts no more than modulo") true (int_ev <= mod_ev))
+    [ "roms"; "swissmap" ]
+
+(* One site: an instance that stays live to the end, then 120 instances
+   each freed right after the next one is allocated, with 20 accesses
+   to each new instance and 20 to the pinned one.  At most three objects
+   are live, so recycling gets 4 slots and modulo-N maps every fourth
+   instance onto the pinned instance's slot, where it falls back to
+   malloc; interval coloring keeps that slot private. *)
+let test_pinned_slot () =
+  let alloc obj = Event.Alloc { obj; site = 1; ctx = 1; size = 64; thread = 0 } in
+  let touch obj =
+    List.init 20 (fun _ -> Event.Access { obj; offset = 0; write = false; thread = 0 })
+  in
+  let step i =
+    (alloc i :: (if i > 1 then [ Event.Free { obj = i - 1; thread = 0 } ] else []))
+    @ touch i @ touch 0
+  in
+  let trace = Trace.of_list (alloc 0 :: List.concat_map step (List.init 120 succ)) in
+  let refs, mod_ev, int_ev = slot_mode_replays trace in
+  check (Alcotest.list ci) "mem_refs of baseline, Block, modulo, interval"
+    [ 4800; 4800; 4800; 4800 ] refs;
+  check cb "modulo evicts" true (mod_ev > 0);
+  check ci "interval evicts nothing" 0 int_ev
+
 let suite =
   [ ( "blockalloc",
       [ Alcotest.test_case "state transitions" `Quick test_block_states;
@@ -290,4 +363,9 @@ let suite =
       [ QCheck_alcotest.to_alcotest prop_intervals_differential;
         Alcotest.test_case "oracle on workload + injected faults" `Quick
           test_intervals_oracle_on_workload;
-        Alcotest.test_case "per-incarnation reuse" `Quick test_intervals_incarnations ] ) ]
+        Alcotest.test_case "per-incarnation reuse" `Quick test_intervals_incarnations ] );
+    ( "slot-modes",
+      [ Alcotest.test_case "footprint invariants on roms and swissmap" `Quick
+          test_slot_modes_on_workloads;
+        Alcotest.test_case "interval coloring keeps a pinned slot private" `Quick
+          test_pinned_slot ] ) ]

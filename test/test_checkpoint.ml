@@ -364,6 +364,36 @@ let test_resume_mixed_configurations () =
   Alcotest.(check (list string)) "reports" [ clean_libc; clean_mcf ]
     (List.map Durable.render results)
 
+(* A checkpointed run opens the spans of a plain run around the same
+   phases, so its trace shows where the time went too. *)
+let test_durable_records_run_spans () =
+  let module Harness = Prefix_experiments.Harness in
+  let module Span = Prefix_obs.Span in
+  let wl = Registry.find "libc" in
+  let span_names run =
+    Span.reset ();
+    ignore (run ());
+    List.sort_uniq compare (List.map (fun (s : Span.completed) -> s.name) (Span.completed ()))
+  in
+  Prefix_obs.Control.set true;
+  Harness.set_streaming true;
+  Harness.set_eval_scale Workload.Profiling;
+  Harness.set_segment_events (Some 1024);
+  Fun.protect
+    ~finally:(fun () ->
+      Prefix_obs.Control.set false;
+      Span.reset ();
+      Harness.set_streaming false;
+      Harness.set_eval_scale Workload.Long;
+      Harness.set_segment_events None)
+  @@ fun () ->
+  let plain = span_names (fun () -> Harness.run_benchmark wl) in
+  Alcotest.(check bool) "plain run has its replay span" true
+    (List.mem "replay:fanout" plain);
+  with_temp_dir @@ fun dir ->
+  Alcotest.(check (list string)) "span names" plain
+    (span_names (fun () -> Durable.run_benchmark (durable_cfg ~dir) wl))
+
 (* A non-positive checkpoint interval is refused before any work. *)
 let test_every_must_be_positive () =
   let wl = Registry.find "libc" in
@@ -406,4 +436,6 @@ let suite =
           test_durable_refuses_foreign_directory;
         Alcotest.test_case "resume with mixed configurations" `Quick
           test_resume_mixed_configurations;
-        Alcotest.test_case "every must be positive" `Quick test_every_must_be_positive ] ) ]
+        Alcotest.test_case "every must be positive" `Quick test_every_must_be_positive;
+        Alcotest.test_case "records the spans of a plain run" `Quick
+          test_durable_records_run_spans ] ) ]

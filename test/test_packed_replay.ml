@@ -21,11 +21,10 @@ let recovery_list (r : Executor.recovery) =
   [ r.double_allocs; r.unknown_accesses; r.unknown_frees; r.unknown_reallocs;
     r.invalid_sizes; r.policy_failures ]
 
-let check_same ~what ?mode ?heatmap_objs ?attribute trace =
-  let boxed = Executor.run_boxed ?mode ?heatmap_objs ?attribute ~policy:baseline trace in
+let check_same ~what ?mode ?heatmap_objs ?attribute ?(policy = baseline) trace =
+  let boxed = Executor.run_boxed ?mode ?heatmap_objs ?attribute ~policy trace in
   let packed =
-    Executor.run_packed ?mode ?heatmap_objs ?attribute ~policy:baseline
-      (Packed.of_trace trace)
+    Executor.run_packed ?mode ?heatmap_objs ?attribute ~policy (Packed.of_trace trace)
   in
   Alcotest.(check bool) (what ^ ": metrics") true
     (boxed.Executor.metrics = packed.Executor.metrics);
@@ -38,17 +37,44 @@ let workload_trace () =
   let wl = Prefix_workloads.Registry.find "libc" in
   wl.generate ~scale:Profiling ~seed:7 ()
 
+(* The seven policies of a report, in report order, with plans built
+   from [trace] itself as [Harness.run_benchmark] builds them from a
+   profile. *)
+let report_policies trace =
+  let module Harness = Prefix_experiments.Harness in
+  let stats = Prefix_trace.Trace_stats.analyze trace in
+  let plan_hot, plan_hds, plan_hdshot, hds_plan = Harness.profile_plans stats trace in
+  let halo_plan = Prefix_halo.Halo.plan_of_trace stats trace in
+  let block_plan = Prefix_runtime.Block_policy.plan_of_trace trace in
+  let cls = Policy.no_classification in
+  let prefix plan heap = Prefix_runtime.Prefix_policy.policy costs heap plan cls in
+  [ ("baseline", baseline);
+    ("HDS", fun heap -> Prefix_runtime.Hds_policy.policy costs heap hds_plan cls);
+    ("HALO", fun heap -> Prefix_runtime.Halo_policy.policy costs heap halo_plan cls);
+    ("Block", fun heap -> Prefix_runtime.Block_policy.policy costs heap block_plan cls);
+    ("PreFix:Hot", prefix plan_hot);
+    ("PreFix:HDS", prefix plan_hds);
+    ("PreFix:HDS+Hot", prefix plan_hdshot) ]
+
 (* The packed path accounts same-object, same-line access streaks in
    one batched cache touch; the boxed interpreter probes every event.
-   Three workloads pin the two together. *)
+   Four workloads pin the two together, two of them under every report
+   policy. *)
 let test_strict_workload () =
-  ignore (check_same ~what:"libc strict" (workload_trace ()));
+  let trace name ~seed =
+    (Prefix_workloads.Registry.find name).generate ~scale:Profiling ~seed ()
+  in
+  List.iter
+    (fun name -> ignore (check_same ~what:(name ^ " strict") (trace name ~seed:5)))
+    [ "mcf"; "swissmap" ];
   List.iter
     (fun name ->
-      let wl = Prefix_workloads.Registry.find name in
-      ignore
-        (check_same ~what:(name ^ " strict") (wl.generate ~scale:Profiling ~seed:5 ())))
-    [ "mcf"; "swissmap" ]
+      let trace = trace name ~seed:7 in
+      List.iter
+        (fun (pname, policy) ->
+          ignore (check_same ~what:(name ^ " " ^ pname) ~policy trace))
+        (report_policies trace))
+    [ "libc"; "xalanc" ]
 
 let test_lenient_workload () =
   (* On a well-formed trace, lenient must equal strict and recover

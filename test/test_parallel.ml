@@ -197,28 +197,31 @@ let test_harness_jobs_equivalence () =
 (* ---- jobs-N ≡ jobs-1 for the fuzz campaign ---- *)
 
 let test_campaign_jobs_equivalence () =
-  let cfg =
-    { Campaign.default_config with
-      benches = [ "xalanc" ];
-      kinds = [ Injector.Collide_ids; Injector.Mutate_sizes ];
-      seeds = 2;
-      region_cap = Some 65536 }
-  in
-  let seq = Campaign.run ~jobs:1 cfg in
-  let par = Campaign.run ~jobs:4 cfg in
-  check ci "same run count" (List.length seq.runs) (List.length par.runs);
-  List.iter2
-    (fun (a : Campaign.run) (b : Campaign.run) ->
-      check Alcotest.string "grid order" (a.bench ^ "/" ^ a.policy)
-        (b.bench ^ "/" ^ b.policy);
-      check ci "fault seed" a.fault_seed b.fault_seed;
-      Alcotest.(check bool) "identical verdicts" true
-        (a.drift_ok = b.drift_ok && a.strict_rejected = b.strict_rejected
-        && a.recovered = b.recovered && a.degraded = b.degraded
-        && a.drift = b.drift))
-    seq.runs par.runs;
-  check Alcotest.string "byte-identical report" (Campaign.report seq)
-    (Campaign.report par)
+  List.iter
+    (fun cfg ->
+      let seq = Campaign.run ~jobs:1 cfg in
+      let par = Campaign.run ~jobs:4 cfg in
+      check ci "same run count" (List.length seq.runs) (List.length par.runs);
+      List.iter2
+        (fun (a : Campaign.run) (b : Campaign.run) ->
+          check Alcotest.string "grid order" (a.bench ^ "/" ^ a.policy)
+            (b.bench ^ "/" ^ b.policy);
+          check ci "fault seed" a.fault_seed b.fault_seed;
+          Alcotest.(check bool) "identical verdicts" true
+            (a.drift_ok = b.drift_ok && a.strict_rejected = b.strict_rejected
+            && a.recovered = b.recovered && a.degraded = b.degraded
+            && a.drift = b.drift))
+        seq.runs par.runs;
+      check Alcotest.string "byte-identical report" (Campaign.report seq)
+        (Campaign.report par))
+    [ { Campaign.default_config with
+        benches = [ "xalanc" ];
+        kinds = [ Injector.Collide_ids; Injector.Mutate_sizes ];
+        seeds = 2;
+        region_cap = Some 65536 };
+      (* `prefix fuzz --benches libc --seeds 2`: every fault kind and
+         policy, no region cap. *)
+      { Campaign.default_config with benches = [ "libc" ]; seeds = 2 } ]
 
 let suite =
   [ ( "parallel",

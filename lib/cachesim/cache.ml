@@ -2,13 +2,13 @@ type t = {
   name : string;
   sets : int;
   assoc : int;
-  line_bits : int;
+  shift : int; (* log2 of the line size *)
   set_mask : int;
-  tags : int array; (* sets * assoc; -1 = invalid *)
-  stamps : int array; (* LRU timestamps, parallel to tags *)
-  dirty : bool array; (* written since fill, parallel to tags *)
-  mru : int array; (* per set, the way touched by the set's last access *)
-  mutable clock : int;
+  (* sets * assoc entries; each set's slice holds its lines in recency
+     order, MRU first.  An entry is [line lsl 1 lor dirty]; -1 marks an
+     invalid way, and since a miss installs at the front and drops the
+     last entry, invalid ways always sort last and fill first. *)
+  ways : int array;
   mutable accesses : int;
   mutable misses : int;
   mutable writebacks : int;
@@ -21,135 +21,76 @@ let log2 n =
   go 0 n
 
 let make ~name ~sets ~assoc ~line_bytes =
-  if not (is_pow2 line_bytes) then invalid_arg "Cache: line size must be a power of two";
   if not (is_pow2 sets) then invalid_arg "Cache: set count must be a power of two";
-  if assoc <= 0 then invalid_arg "Cache: associativity must be positive";
   { name;
     sets;
     assoc;
-    line_bits = log2 line_bytes;
+    shift = log2 line_bytes;
     set_mask = sets - 1;
-    tags = Array.make (sets * assoc) (-1);
-    stamps = Array.make (sets * assoc) 0;
-    dirty = Array.make (sets * assoc) false;
-    mru = Array.make sets 0;
-    clock = 0;
+    ways = Array.make (sets * assoc) (-1);
     accesses = 0;
     misses = 0;
     writebacks = 0 }
 
+(* Runs before the constructors divide by [assoc] and [line_bytes]. *)
+let check_geometry ~assoc ~line_bytes =
+  if assoc <= 0 then invalid_arg "Cache: associativity must be positive";
+  if not (is_pow2 line_bytes) then invalid_arg "Cache: line size must be a power of two"
+
 let create ?(name = "cache") ~size_bytes ~assoc ~line_bytes () =
+  check_geometry ~assoc ~line_bytes;
   if size_bytes mod (assoc * line_bytes) <> 0 then
     invalid_arg "Cache.create: size not divisible by assoc * line";
   make ~name ~sets:(size_bytes / (assoc * line_bytes)) ~assoc ~line_bytes
 
 let create_entries ?(name = "tlb") ~entries ~assoc ~page_bytes () =
+  check_geometry ~assoc ~line_bytes:page_bytes;
   if entries mod assoc <> 0 then invalid_arg "Cache.create_entries: entries not divisible by assoc";
   make ~name ~sets:(entries / assoc) ~assoc ~line_bytes:page_bytes
 
 let name t = t.name
 let sets t = t.sets
 let assoc t = t.assoc
-let line_bytes t = 1 lsl t.line_bits
+let line_bytes t = 1 lsl t.shift
 
-(* [probe] takes [write] as a plain labelled argument so the replay
-   fast path pays no option boxing per reference; [access] keeps the
-   original optional-argument API. *)
+(* Entries [first .. last - 1] move down one place, freeing [first].
+   A plain loop, not [Array.blit]: on a major-heap array [blit] pays a
+   [caml_modify] per element even for ints. *)
+let[@inline] shift_down (ways : int array) ~first ~last =
+  for j = last downto first + 1 do
+    Array.unsafe_set ways j (Array.unsafe_get ways (j - 1))
+  done
+
 let probe t ~write addr =
   t.accesses <- t.accesses + 1;
-  t.clock <- t.clock + 1;
-  let line = addr lsr t.line_bits in
-  let set = line land t.set_mask in
-  let tag = line in
-  let base = set * t.assoc in
-  (* MRU-first: the set's last-touched way hits for the common
-     same-line streak without scanning the other ways.  A hit never
-     changes replacement state beyond its own stamp, so counters and
-     evictions are exactly those of the full scan below. *)
-  let m = base + Array.unsafe_get t.mru set in
-  if Array.unsafe_get t.tags m = tag then begin
-    Array.unsafe_set t.stamps m t.clock;
-    if write then Array.unsafe_set t.dirty m true;
+  let line = addr lsr t.shift in
+  let key = line lsl 1 in
+  let ways = t.ways in
+  let first = (line land t.set_mask) * t.assoc in
+  let last = first + t.assoc - 1 in
+  (* [e lor 1 = key lor 1] matches the line whatever its dirty bit, and
+     never matches an invalid way (-1). *)
+  let probe_key = key lor 1 in
+  let i = ref first in
+  while !i <= last && Array.unsafe_get ways !i lor 1 <> probe_key do
+    incr i
+  done;
+  if !i <= last then begin
+    let e = Array.unsafe_get ways !i in
+    shift_down ways ~first ~last:!i;
+    Array.unsafe_set ways first (if write then e lor 1 else e);
     true
   end
   else begin
-    let hit = ref false in
-    let way = ref (-1) in
-    (* Look for the tag; remember the LRU way in case of a miss. *)
-    let lru_way = ref 0 in
-    let lru_stamp = ref max_int in
-    for w = 0 to t.assoc - 1 do
-      let i = base + w in
-      if t.tags.(i) = tag then begin
-        hit := true;
-        way := w
-      end;
-      if t.stamps.(i) < !lru_stamp then begin
-        lru_stamp := t.stamps.(i);
-        lru_way := w
-      end
-    done;
-    if !hit then begin
-      let i = base + !way in
-      t.stamps.(i) <- t.clock;
-      if write then t.dirty.(i) <- true;
-      t.mru.(set) <- !way;
-      true
-    end
-    else begin
-      t.misses <- t.misses + 1;
-      let i = base + !lru_way in
-      (* Write-back policy: evicting a dirty line costs a memory write. *)
-      if t.tags.(i) >= 0 && t.dirty.(i) then t.writebacks <- t.writebacks + 1;
-      t.tags.(i) <- tag;
-      t.stamps.(i) <- t.clock;
-      t.dirty.(i) <- write;
-      t.mru.(set) <- !lru_way;
-      false
-    end
+    t.misses <- t.misses + 1;
+    (* Write-back policy: evicting a dirty line costs a memory write. *)
+    let victim = Array.unsafe_get ways last in
+    if victim >= 0 && victim land 1 = 1 then t.writebacks <- t.writebacks + 1;
+    shift_down ways ~first ~last;
+    Array.unsafe_set ways first (if write then probe_key else key);
+    false
   end
-
-let access ?(write = false) t addr = probe t ~write addr
-
-let line_bits t = t.line_bits
-
-(* [touch_run t ~write ~n addr] accounts [n] consecutive references to
-   [addr]'s line in one step.  Precondition: the line is resident and
-   is its set's MRU way (any {!probe} of [addr] — MRU hit, scan hit or
-   miss install — establishes exactly that).  Then each of the [n]
-   repeats would take the MRU fast path above: bump two counters, stamp
-   the MRU way, or the dirty bit.  Only the final stamp value and the
-   or-of-writes dirty state are observable afterwards, so one bulk
-   update is exactly equivalent to [n] probes — same counters, same
-   replacement state, all hits. *)
-let touch_run t ~write ~n addr =
-  let line = addr lsr t.line_bits in
-  let set = line land t.set_mask in
-  let i = (set * t.assoc) + Array.unsafe_get t.mru set in
-  if Array.unsafe_get t.tags i <> line then
-    invalid_arg "Cache.touch_run: line is not the set's MRU way";
-  t.accesses <- t.accesses + n;
-  t.clock <- t.clock + n;
-  Array.unsafe_set t.stamps i t.clock;
-  if write then Array.unsafe_set t.dirty i true
 
 let accesses t = t.accesses
 let misses t = t.misses
-
-let miss_rate t =
-  if t.accesses = 0 then 0. else float_of_int t.misses /. float_of_int t.accesses
-
 let writebacks t = t.writebacks
-
-let reset_counters t =
-  t.accesses <- 0;
-  t.misses <- 0;
-  t.writebacks <- 0
-
-let flush t =
-  Array.fill t.tags 0 (Array.length t.tags) (-1);
-  Array.fill t.stamps 0 (Array.length t.stamps) 0;
-  Array.fill t.dirty 0 (Array.length t.dirty) false;
-  Array.fill t.mru 0 (Array.length t.mru) 0;
-  t.clock <- 0;
-  reset_counters t

@@ -7,58 +7,35 @@
 type t
 
 val create : ?name:string -> size_bytes:int -> assoc:int -> line_bytes:int -> unit -> t
-(** Raises [Invalid_argument] unless [line_bytes] is a power of two,
-    [size_bytes] is divisible by [assoc * line_bytes] and the resulting
-    set count is a power of two. *)
+(** Raises [Invalid_argument] unless [assoc] is positive, [line_bytes]
+    is a power of two, [size_bytes] is divisible by [assoc * line_bytes]
+    and the resulting set count is a power of two. *)
 
 val create_entries : ?name:string -> entries:int -> assoc:int -> page_bytes:int -> unit -> t
 (** TLB-style constructor: [entries] translation entries covering pages
-    of [page_bytes]. *)
+    of [page_bytes].  Raises [Invalid_argument] unless [assoc] is
+    positive, [page_bytes] is a power of two, [entries] is divisible by
+    [assoc] and the resulting set count is a power of two. *)
 
 val name : t -> string
 val sets : t -> int
 val assoc : t -> int
 val line_bytes : t -> int
 
-val access : ?write:bool -> t -> int -> bool
-(** [access t addr] simulates one reference; [true] = hit.  The line is
-    installed (and the LRU way evicted) on a miss.  [write] marks the
-    line dirty (write-back policy; default false).
-
-    The common case — another reference to the set's most recently
-    touched line — is served by an MRU-first probe that checks one way
-    and exits early; only on an MRU mismatch does the full way scan
-    (and, on a miss, LRU eviction) run.  Hit/miss/writeback counts and
-    replacement decisions are identical to the plain scan. *)
-
 val probe : t -> write:bool -> int -> bool
-(** Exactly {!access} with [write] as a required labelled argument —
-    the replay hot loop uses this to avoid boxing an option per
-    memory reference. *)
+(** [probe t ~write addr] simulates one reference; [true] = hit.  The
+    line is installed (and the LRU way evicted) on a miss.  [write]
+    marks the line dirty (write-back policy).
 
-val line_bits : t -> int
-(** log2 of {!line_bytes} — the replay fast path uses it to detect
-    same-line access runs without a division. *)
-
-val touch_run : t -> write:bool -> n:int -> int -> unit
-(** [touch_run t ~write ~n addr] accounts [n] further references to a
-    line that the immediately preceding {!probe} of [addr] made its
-    set's MRU way, in one step: [n] accesses, [n] clock ticks, one
-    stamp, dirty |= [write] — bit-for-bit what [n] MRU-fast-path
-    probes (all hits) would do.  Raises [Invalid_argument] if the MRU
-    way does not hold [addr]'s line (precondition violated). *)
+    Each set keeps its lines in recency order, MRU first, in one flat
+    int array: a hit at depth [k] compares [k + 1] entries and moves [k]
+    down one place; a miss moves the whole set down and installs the
+    line at the front.  Once lines are at least 4 bytes every address
+    keeps its own line; with 1- or 2-byte lines, addresses must lie
+    below 2{^61}. *)
 
 val accesses : t -> int
 val misses : t -> int
 
 val writebacks : t -> int
 (** Dirty lines evicted so far. *)
-
-val miss_rate : t -> float
-(** misses / accesses; 0 before the first access. *)
-
-val reset_counters : t -> unit
-(** Zero the hit/miss counters but keep cache contents (for warmup). *)
-
-val flush : t -> unit
-(** Invalidate all lines and zero counters. *)

@@ -139,18 +139,10 @@ let span_json (s : Span.completed) =
     | [] -> []
     | args -> [ ("args", jobj (List.map (fun (k, v) -> (k, jstr v)) args)) ])
 
-let sample_json (c : Span.counter_sample) =
-  jobj
-    [ ("name", jstr c.c_name);
-      ("tid", string_of_int c.c_tid);
-      ("ts_us", jnum (Clock.us_of_ns c.c_ts_ns));
-      ("values", jobj (List.map (fun (k, v) -> (k, jnum v)) c.c_values)) ]
-
 let json () =
   let snap = Metric.snapshot () in
   jobj
     [ ("spans", jarr (List.map span_json (Span.completed ())));
-      ("samples", jarr (List.map sample_json (Span.samples ())));
       ("counters", jobj (List.map (fun (k, v) -> (k, string_of_int v)) snap.counters));
       ("gauges", jobj (List.map (fun (k, v) -> (k, jnum v)) snap.gauges));
       ( "histograms",
@@ -308,15 +300,6 @@ let chrome_trace () =
         ("tid", string_of_int s.tid);
         ("args", jobj (List.map (fun (k, v) -> (k, jstr v)) s.args)) ]
   in
-  let counter_event (c : Span.counter_sample) =
-    jobj
-      [ ("name", jstr c.c_name);
-        ("ph", jstr "C");
-        ("ts", jnum (Clock.us_of_ns c.c_ts_ns));
-        ("pid", "1");
-        ("tid", string_of_int c.c_tid);
-        ("args", jobj (List.map (fun (k, v) -> (k, jnum v)) c.c_values)) ]
-  in
   (* Flight-recorder rows become per-column counter tracks, so the
      Perfetto timeline shows every recorded series (events/s, live
      objects, quantiles, ...) under the replay spans.  The recorder's
@@ -345,14 +328,5 @@ let chrome_trace () =
             (List.init (Array.length cols) Fun.id))
         (Timeseries.rows ts)
   in
-  let events =
-    (meta :: List.map span_event (Span.completed ()))
-    @ List.map counter_event (Span.samples ())
-    @ recorder_events
-  in
+  let events = (meta :: List.map span_event (Span.completed ())) @ recorder_events in
   jobj [ ("traceEvents", jarr events); ("displayTimeUnit", jstr "ms") ]
-
-let write_chrome_trace path =
-  let oc = open_out path in
-  Fun.protect ~finally:(fun () -> close_out oc) (fun () ->
-      output_string oc (chrome_trace ()))

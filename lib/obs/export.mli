@@ -25,19 +25,15 @@ val report : unit -> string
 (** [span_report] followed by [metrics_report]. *)
 
 val json : unit -> string
-(** The raw spans, counter samples and metrics snapshot as one JSON
-    object (keys ["spans"], ["samples"], ["counters"], ["gauges"],
-    ["histograms"]). *)
+(** The raw spans and metrics snapshot as one JSON object (keys
+    ["spans"], ["counters"], ["gauges"], ["histograms"]). *)
 
 val chrome_trace : unit -> string
 (** Chrome trace-event JSON: every completed span becomes a complete
-    ("X") event with microsecond [ts]/[dur], every {!Span.counter}
-    sample a counter ("C") event, plus process-name metadata.  The
+    ("X") event with microsecond [ts]/[dur], every flight-recorder
+    column a counter ("C") track, plus process-name metadata.  The
     object form ([{"traceEvents": [...]}]) is used so Perfetto accepts
     the file as-is. *)
-
-val write_chrome_trace : string -> unit
-(** Write {!chrome_trace} to a file path. *)
 
 val openmetrics : unit -> string
 (** OpenMetrics / Prometheus text exposition of the current
@@ -50,7 +46,7 @@ val openmetrics : unit -> string
 val timeline_csv : unit -> string
 (** The {!Recorder} flight-recorder timeline as CSV: header
     [t_ms,events,label,<column …>], one row per sample (oldest first),
-    timestamps relative to the first sample, [nan] cells left empty.
+    [t_ms] counted from the first sample, [nan] cells left empty.
     Empty (header-only) when the recorder never ran. *)
 
 val timeline_json : unit -> string

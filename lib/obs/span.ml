@@ -9,19 +9,11 @@ type completed = {
   args : (string * string) list;
 }
 
-type counter_sample = {
-  c_name : string;
-  c_tid : int;
-  c_ts_ns : int64;
-  c_values : (string * float) list;
-}
-
 (* The sink.  One mutex guards everything: spans close at most a few
    thousand times per run, so contention is irrelevant; what matters is
    that records from concurrent replay threads interleave safely. *)
 let mutex = Mutex.create ()
 let spans_rev : completed list ref = ref []
-let samples_rev : counter_sample list ref = ref []
 
 (* Per-thread stack of open (name) frames, for depth/parent. *)
 let stacks : (int, string list ref) Hashtbl.t = Hashtbl.create 8
@@ -73,16 +65,7 @@ let with_ ?(cat = "") ?(args = []) name f =
       f
   end
 
-let counter ?tid name values =
-  if Control.is_on () then begin
-    let tid = match tid with Some t -> t | None -> Thread.id (Thread.self ()) in
-    let ts = Clock.now_ns () in
-    locked (fun () ->
-        samples_rev := { c_name = name; c_tid = tid; c_ts_ns = ts; c_values = values } :: !samples_rev)
-  end
-
 let completed () = locked (fun () -> List.rev !spans_rev)
-let samples () = locked (fun () -> List.rev !samples_rev)
 
 let open_count () =
   locked (fun () -> Hashtbl.fold (fun _ st acc -> acc + List.length !st) stacks 0)
@@ -90,5 +73,4 @@ let open_count () =
 let reset () =
   locked (fun () ->
       spans_rev := [];
-      samples_rev := [];
       Hashtbl.reset stacks)

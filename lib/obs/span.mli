@@ -22,33 +22,17 @@ type completed = {
           domain the span ran on *)
 }
 
-type counter_sample = {
-  c_name : string;
-  c_tid : int;
-  c_ts_ns : int64;
-  c_values : (string * float) list;
-}
-(** A point-in-time multi-value sample, exported as a Chrome "C"
-    (counter) event — used by the executor for periodic heap/cache
-    snapshots during a replay. *)
-
 val with_ : ?cat:string -> ?args:(string * string) list -> string -> (unit -> 'a) -> 'a
 (** [with_ name f] times [f ()] under a span called [name].  The span
     is recorded even when [f] raises (the exception is re-raised).
     When collection is off this is exactly [f ()]. *)
 
-val counter : ?tid:int -> string -> (string * float) list -> unit
-(** Record a counter sample at the current time.  No-op when off. *)
-
 val completed : unit -> completed list
 (** All closed spans, in completion order (children before parents). *)
-
-val samples : unit -> counter_sample list
-(** All counter samples, oldest first. *)
 
 val open_count : unit -> int
 (** Spans currently open across all threads (for invariant tests). *)
 
 val reset : unit -> unit
-(** Drop every recorded span and sample; open-span stacks are cleared
-    too, so only call between (not inside) instrumented regions. *)
+(** Drop every recorded span and clear the open-span stacks, so only
+    call between (not inside) instrumented regions. *)

@@ -107,7 +107,9 @@ let decode data =
     if len < pos + 8 then Error "truncated checkpoint (no payload length)"
     else begin
       let plen = get_u64le data pos in
-      if plen < 0 || len < pos + 8 + plen + 4 then
+      (* [plen] is untrusted: compare it against the bytes left, a
+         bound that cannot wrap the way [pos + 8 + plen + 4] can. *)
+      if plen < 0 || plen > len - pos - 12 then
         Error "truncated checkpoint payload"
       else begin
         let payload = String.sub data (pos + 8) plen in

@@ -103,10 +103,10 @@ let thread_slot m thread =
 (* Returns (l1_miss, llc_miss, tlb1_miss) for attribution. *)
 let mem_access m thread ~write addr =
   let i = thread_slot m thread in
-  let l1_hit = Cache.access ~write m.l1s.(i) addr in
-  let llc_miss = if l1_hit then false else not (Cache.access ~write m.llc addr) in
-  let tlb1_hit = Cache.access m.l1_tlbs.(i) addr in
-  if not tlb1_hit then ignore (Cache.access m.l2_tlbs.(i) addr);
+  let l1_hit = Cache.probe m.l1s.(i) ~write addr in
+  let llc_miss = if l1_hit then false else not (Cache.probe m.llc ~write addr) in
+  let tlb1_hit = Cache.probe m.l1_tlbs.(i) ~write:false addr in
+  if not tlb1_hit then ignore (Cache.probe m.l2_tlbs.(i) ~write:false addr);
   (not l1_hit, llc_miss, not tlb1_hit)
 
 let mem_counters m : Hierarchy.counters =
@@ -384,10 +384,9 @@ let session_create ~config ~mode ~heatmap_objs ~attribute ~heap ~p =
     ss_live = 0 }
 
 (* One telemetry sample: publish the replay-derived gauges, then let
-   the {!Recorder} snapshot the whole registry into its timeline.
-   Replaces the PR 1 periodic [Span.counter] snapshots — the recorder
-   is now the single sampling mechanism (bounded memory, exportable as
-   OpenMetrics / CSV / JSON / Chrome counter tracks). *)
+   the {!Recorder} snapshot the whole registry into its timeline.  The
+   recorder is the only sampling mechanism (bounded memory, exportable
+   as OpenMetrics / CSV / JSON / Chrome counter tracks). *)
 let session_tick st ~gindex =
   let c = mem_counters st.ss_mem in
   let hit_rate =
@@ -496,94 +495,9 @@ let replay_segment st ~base packed =
       st.ss_live <- st.ss_live + 1
     done
   in
-  (* Access runs come in two specializations: the common case (no
-     attribution, no heatmap) drops both per-event option matches and
-     is nothing but batched cache probes over the memoized thread slot;
-     the diagnostic variant keeps the exact original body.  Probe order
-     is identical in both — and to the boxed path. *)
-  (* Widened batch: after an access's probes, its line is the MRU way
-     of its L1 set and its page the MRU way of its TLB set (any probe
-     outcome establishes that).  The object table cannot change inside
-     an access run (allocs/frees are other tags), so a following event
-     with the same object, same thread and an offset on the same L1
-     line — which, lines being no larger than pages, is also the same
-     page — would deterministically take both MRU fast paths as pure
-     hits.  Whole such streaks are therefore accounted in one
-     {!Cache.touch_run} step per cache instead of per-event probes:
-     same counters, same replacement state, same report.  The batch
-     never crosses the next telemetry tick, so samples still fire at
-     the exact same global indices. *)
-  let run_access_fast run_start run_stop =
-    let index = ref run_start in
-    (* Lookahead cursors, hoisted: allocating refs per access head costs
-       more than the batching saves (non-flambda refs are boxed). *)
-    let j = ref 0 in
-    let writes = ref false in
-    while !index < run_stop do
-      let idx = !index in
-      let gindex = base + idx in
-      if gindex >= st.ss_next_tick then session_tick st ~gindex;
-      let obj = Array.unsafe_get objs idx in
-      let addr = ot_addr ot obj in
-      if addr = not_live then begin
-        if lenient then st.ss_access <- st.ss_access + 1
-        else invalid_arg (Printf.sprintf "Executor: access to unknown object %d" obj);
-        index := idx + 1
-      end
-      else begin
-        st.ss_mem_refs <- st.ss_mem_refs + 1;
-        let offset = Array.unsafe_get fas idx in
-        let write = Array.unsafe_get fbs idx <> 0 in
-        let thread = Array.unsafe_get threads idx in
-        let a = addr + offset in
-        let i = slot_of thread in
-        let l1 = Array.unsafe_get mem.l1s i in
-        let tlb1 = Array.unsafe_get mem.l1_tlbs i in
-        let l1_hit = Cache.probe l1 ~write a in
-        if not l1_hit then ignore (Cache.probe mem.llc ~write a);
-        let tlb1_hit = Cache.probe tlb1 ~write:false a in
-        if not tlb1_hit then
-          ignore (Cache.probe (Array.unsafe_get mem.l2_tlbs i) ~write:false a);
-        let n = idx + 1 in
-        let shift = Cache.line_bits l1 in
-        let line = a lsr shift in
-        (* The batch setup below costs more than a typical access, so it
-           only runs once a two-compare gate (next event touches the
-           same object AND the same line) says a streak is real; on the
-           overwhelmingly common no-streak path the widening adds a few
-           integer ops and no memory traffic beyond two array loads. *)
-        if
-          n < run_stop
-          && Array.unsafe_get objs n = obj
-          && (addr + Array.unsafe_get fas n) lsr shift = line
-        then begin
-          (* [ss_next_tick > gindex] here (the tick above advanced it),
-             so [stop > idx] and the head itself is never re-batched. *)
-          let stop = min run_stop (st.ss_next_tick - base) in
-          j := n;
-          writes := false;
-          while
-            !j < stop
-            && Array.unsafe_get objs !j = obj
-            && Array.unsafe_get threads !j = thread
-            && (addr + Array.unsafe_get fas !j) lsr shift = line
-          do
-            if Array.unsafe_get fbs !j <> 0 then writes := true;
-            incr j
-          done;
-          let k = !j - n in
-          if k > 0 then begin
-            st.ss_mem_refs <- st.ss_mem_refs + k;
-            Cache.touch_run l1 ~write:!writes ~n:k a;
-            Cache.touch_run tlb1 ~write:false ~n:k a
-          end;
-          index := !j
-        end
-        else index := n
-      end
-    done
-  in
-  let run_access_diag run_start run_stop =
+  (* One loop serves every access run; attribution and the heatmap are
+     an option match each, and the probe order is the boxed path's. *)
+  let run_access run_start run_stop =
     for index = run_start to run_stop - 1 do
       let gindex = base + index in
       if gindex >= st.ss_next_tick then session_tick st ~gindex;
@@ -599,8 +513,7 @@ let replay_segment st ~base packed =
         let write = Array.unsafe_get fbs index <> 0 in
         let thread = Array.unsafe_get threads index in
         let a = addr + offset in
-        (* Inlined mem_access over the memoized thread slot; identical
-           probe order to the boxed path. *)
+        (* Inlined mem_access over the memoized thread slot. *)
         let i = slot_of thread in
         let l1_hit = Cache.probe (Array.unsafe_get mem.l1s i) ~write a in
         let llc_miss = if l1_hit then false else not (Cache.probe mem.llc ~write a) in
@@ -618,7 +531,6 @@ let replay_segment st ~base packed =
       end
     done
   in
-  let access_plain = Option.is_none attribution && Option.is_none st.ss_heatmap in
   let run_free run_start run_stop =
     for index = run_start to run_stop - 1 do
       let gindex = base + index in
@@ -690,9 +602,7 @@ let replay_segment st ~base packed =
     while !j < seg_events && Array.unsafe_get tags !j = tag do incr j done;
     let run_stop = !j in
     (match tag with
-    | 1 (* Access *) ->
-      if access_plain then run_access_fast run_start run_stop
-      else run_access_diag run_start run_stop
+    | 1 (* Access *) -> run_access run_start run_stop
     | 4 (* Compute *) -> run_compute run_start run_stop
     | 0 (* Alloc *) -> run_alloc run_start run_stop
     | 2 (* Free *) -> run_free run_start run_stop
@@ -843,9 +753,7 @@ let run_boxed ?(config = default_config) ?(mode = Policy.Strict) ?heatmap_objs
   in
   (* No flight-recorder wiring here: the boxed loop is a frozen
      differential oracle, and telemetry must not perturb the replay it
-     is compared against.  (The PR 1 periodic [Span.counter] snapshots
-     that used to live in both loops were removed when the {!Recorder}
-     became the single sampling mechanism.) *)
+     is compared against. *)
   Trace.iteri
     (fun index e ->
       match (e : Event.t) with

@@ -199,6 +199,31 @@ let test_save_rotation_and_torn_fallback () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "loaded from two torn copies"
 
+(* The u64 payload-length field has no CRC of its own.  A value near
+   [max_int] once wrapped the bounds check, so [decode] raised from
+   [String.sub] and [load] never reached the good [.prev] copy. *)
+let test_payload_length_overflow () =
+  with_temp_dir @@ fun dir ->
+  let path = Filename.concat dir "x.ckpt" in
+  Checkpoint.save ~path sample_header ~payload:"good";
+  Checkpoint.save ~path sample_header ~payload:"abc";
+  let data = Bytes.of_string (Checkpoint.encode sample_header ~payload:"abc") in
+  let field = Bytes.length data - 4 - 3 - 8 in
+  let plen = max_int - 5 in
+  for i = 0 to 7 do
+    Bytes.set data (field + i) (Char.chr ((plen lsr (8 * i)) land 0xff))
+  done;
+  (match Checkpoint.decode (Bytes.to_string data) with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "accepted a payload length past the end");
+  let oc = open_out_bin path in
+  output_bytes oc data;
+  close_out oc;
+  match Checkpoint.load ~path with
+  | Ok (_, p, `Previous) -> Alcotest.(check string) "prev payload" "good" p
+  | Ok (_, _, `Current) -> Alcotest.fail "read the corrupt current copy"
+  | Error e -> Alcotest.fail e
+
 (* ---- durable runs: interruption, torn state, identity ---- *)
 
 module Durable = Prefix_experiments.Durable
@@ -421,6 +446,7 @@ let suite =
         Alcotest.test_case "container rejects corruption" `Quick
           test_container_rejects_corruption;
         Alcotest.test_case "container identity check" `Quick test_container_meta_check;
+        Alcotest.test_case "payload length overflow" `Quick test_payload_length_overflow;
         Alcotest.test_case "save rotation and torn fallback" `Quick
           test_save_rotation_and_torn_fallback ] );
     ( "durable",

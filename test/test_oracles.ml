@@ -2,7 +2,9 @@
 
    1. The set-associative cache is compared against a straightforward
       reference implementation (association list per set, explicit
-      recency ordering) on random access streams.
+      recency ordering) on random access streams.  (The stamp-model
+      differential over random geometries, writes and counters lives in
+      test_cachesim.ml.)
    2. Every allocation policy is replayed over random valid traces while
       an interval map checks that no two live objects ever overlap and
       that every returned address is properly aligned — the fundamental
@@ -55,7 +57,7 @@ let prop_cache_matches_reference =
     (fun (_, addrs) ->
       let c = Cache.create ~size_bytes:1024 ~assoc:2 ~line_bytes:64 () in
       let r = Ref_cache.create ~sets:8 ~assoc:2 ~line_bits:6 in
-      List.for_all (fun a -> Cache.access c a = Ref_cache.access r a) addrs)
+      List.for_all (fun a -> Cache.probe c ~write:false a = Ref_cache.access r a) addrs)
 
 let prop_tlb_matches_reference =
   QCheck.Test.make ~name:"tlb agrees with reference LRU" ~count:50
@@ -63,7 +65,7 @@ let prop_tlb_matches_reference =
     (fun addrs ->
       let c = Cache.create_entries ~entries:16 ~assoc:4 ~page_bytes:4096 () in
       let r = Ref_cache.create ~sets:4 ~assoc:4 ~line_bits:12 in
-      List.for_all (fun a -> Cache.access c a = Ref_cache.access r a) addrs)
+      List.for_all (fun a -> Cache.probe c ~write:false a = Ref_cache.access r a) addrs)
 
 (* ---- 2. Policy address-safety ---- *)
 

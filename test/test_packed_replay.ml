@@ -56,10 +56,10 @@ let report_policies trace =
     ("PreFix:HDS", prefix plan_hds);
     ("PreFix:HDS+Hot", prefix plan_hdshot) ]
 
-(* The packed path accounts same-object, same-line access streaks in
-   one batched cache touch; the boxed interpreter probes every event.
-   Four workloads pin the two together, two of them under every report
-   policy. *)
+(* The packed path replays access runs in a tag-specialized loop over
+   a dense object table; the boxed interpreter matches on every boxed
+   event.  Four workloads pin the two together, two of them under every
+   report policy. *)
 let test_strict_workload () =
   let trace name ~seed =
     (Prefix_workloads.Registry.find name).generate ~scale:Profiling ~seed ()
@@ -157,6 +157,34 @@ let test_negative_object_ids () =
   Alcotest.(check int) "recovered stray free + access" 2
     (Executor.recovery_total boxed.Executor.recovery)
 
+(* The access loop allocates nothing per event: a trace with twice the
+   accesses over the same objects allocates exactly as many minor-heap
+   words (per-event values would be small, hence minor, blocks). *)
+let test_access_runs_allocation_free () =
+  let objs = 8 in
+  let packed accesses =
+    let es : Event.t list =
+      List.init objs (fun obj -> Event.Alloc { obj; site = 1; ctx = 1; size = 256; thread = 0 })
+      @ List.init accesses (fun i ->
+            Event.Access
+              { obj = i * 7 mod objs; offset = i * 40 mod 256; write = i mod 3 = 0; thread = 0 })
+      @ List.init objs (fun obj -> Event.Free { obj; thread = 0 })
+    in
+    Packed.of_trace (Trace.of_list es)
+  in
+  (* 20_000 and 40_000 accesses: the span argument [string_of_int
+     events] has the same length for both. *)
+  let short = packed 20_000 and long = packed 40_000 in
+  let words p =
+    let before = Gc.minor_words () in
+    ignore (Executor.run_packed ~policy:baseline p);
+    Gc.minor_words () -. before
+  in
+  ignore (words short);
+  let w_short = words short in
+  let w_long = words long in
+  Alcotest.(check (float 0.)) "minor words, 20k vs 40k accesses" w_short w_long
+
 (* Arbitrary event soup, replayed leniently: ids collide, sizes go
    non-positive, frees dangle — every anomaly the recovery paths
    handle.  Offsets/sizes stay small and non-negative-address so the
@@ -221,5 +249,7 @@ let suite =
         Alcotest.test_case "heatmap + attribution" `Quick test_heatmap_attribution;
         Alcotest.test_case "corrupted traces" `Quick test_lenient_corrupted_every_kind;
         Alcotest.test_case "negative ids" `Quick test_negative_object_ids;
+        Alcotest.test_case "allocation-free access runs" `Quick
+          test_access_runs_allocation_free;
         QCheck_alcotest.to_alcotest prop_lenient_soup;
         QCheck_alcotest.to_alcotest prop_strict_raises_same ] ) ]

@@ -21,10 +21,12 @@
    cadence.  Missing parent directories of either output path are
    created.
 
-   Parallelism: run/stats/experiment/all/fuzz take --jobs N to spread
-   independent benchmark replays (or campaign runs) across a domain
-   pool; --jobs 1 is the exact legacy sequential path and every report
-   is byte-identical whatever N is. *)
+   Parallelism: experiment/all/fuzz take --jobs N to spread independent
+   benchmarks (or campaign runs) across a domain pool; one benchmark
+   always replays on one domain, so `run --jobs N` only records N in a
+   checkpoint manifest, for `resume` of a directory holding several
+   benchmarks.  --jobs 1 is the exact legacy sequential path and every
+   report is byte-identical whatever N is. *)
 
 open Cmdliner
 
@@ -90,9 +92,10 @@ let verbose_arg =
 
 let jobs_arg =
   let doc =
-    "Run independent benchmark replays / campaign runs across $(docv) domains \
-     (default: the runtime's recommended domain count).  Results are \
-     bit-identical to --jobs 1; only wall time changes."
+    "Spread independent benchmarks / campaign runs across $(docv) domains \
+     (default: the runtime's recommended domain count).  One benchmark always \
+     replays on one domain.  Results are bit-identical to --jobs 1; only wall \
+     time changes."
   in
   Arg.(value
        & opt int (Prefix_parallel.Pool.default_jobs ())
@@ -139,16 +142,9 @@ let telemetry_interval_arg =
 (* Output files (--obs-out, --telemetry) may point into directories that
    do not exist yet; create them, and turn an uncreatable path into a
    clean exit-2 error naming the path instead of a backtrace. *)
-let rec mkdir_p dir =
-  if not (Sys.file_exists dir) then begin
-    let parent = Filename.dirname dir in
-    if parent <> dir then mkdir_p parent;
-    try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
-  end
-
 let open_out_path ~flag file =
   let dir = Filename.dirname file in
-  match mkdir_p dir with
+  match Prefix_util.Fsio.mkdir_p dir with
   | exception Unix.Unix_error (e, _, _) ->
     Error
       (Printf.sprintf "%s %s: cannot create directory %s (%s)" flag file dir
@@ -433,7 +429,6 @@ let run_cmd =
       jobs verbose log_level obs_out telemetry telemetry_interval checkpoint
       checkpoint_every deadline_s max_rss_mb =
     setup_logs log_level verbose;
-    Harness.set_jobs jobs;
     set_streaming stream segment_events;
     Harness.set_stream_container stream_container;
     Harness.set_slot_mode slots;
@@ -547,10 +542,9 @@ let resume_cmd =
 (* --- stats *)
 
 let stats_cmd =
-  let run name stream segment_events jobs verbose log_level obs_out telemetry
+  let run name stream segment_events verbose log_level obs_out telemetry
       telemetry_interval =
     setup_logs log_level verbose;
-    Harness.set_jobs jobs;
     set_streaming stream segment_events;
     match get_workload name with
     | Error e -> prerr_endline e; 1
@@ -575,9 +569,8 @@ let stats_cmd =
        ~doc:
          "Replay one benchmark with observability on and print the per-stage \
           span timing table and the metrics report")
-    Term.(const run $ bench_arg $ stream_arg $ segment_events_arg $ jobs_arg
-          $ verbose_arg $ log_level_arg $ obs_out_arg $ telemetry_arg
-          $ telemetry_interval_arg)
+    Term.(const run $ bench_arg $ stream_arg $ segment_events_arg $ verbose_arg
+          $ log_level_arg $ obs_out_arg $ telemetry_arg $ telemetry_interval_arg)
 
 (* --- fuzz *)
 
@@ -854,7 +847,6 @@ let validate_cmd =
 let top_cmd =
   let run name scale segment_events interval verbose log_level =
     setup_logs log_level verbose;
-    Harness.set_jobs 1;
     set_streaming true segment_events;
     Harness.set_eval_scale scale;
     match get_workload name with

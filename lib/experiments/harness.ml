@@ -108,37 +108,11 @@ let spool_columnar (wl : Workload.t) ~scale ~segment_events =
   Prefix_trace.Stream.to_columnar_file s path;
   path
 
-(* Degree of parallelism for [run_all]; 1 (the exact legacy sequential
-   path) unless the CLI's --jobs configured otherwise.  Doubles as the
-   prefetch-pipelining switch: at [jobs >= 2] a streamed evaluation
-   decodes segment N+1 on a prefetch worker while segment N replays. *)
+(* Degree of parallelism for [run_all]/[run_many]; 1 (the exact legacy
+   sequential path) unless the CLI's --jobs configured otherwise.  A
+   single benchmark always replays on the domain that runs it. *)
 let jobs = ref 1
 let set_jobs n = jobs := max 1 n
-
-(* Dedicated pool for stream-prefetch producers ({!Stream.prefetched}),
-   sized so every concurrently-running benchmark (at most [!jobs], the
-   run_many fan-out) can have its one active producer on a worker.
-   Separate from run_many's own pool — a producer must truly run
-   concurrently with its consumer, never inline.  Created on first use,
-   under a mutex (worker domains may race here); never shut down —
-   parked workers cost nothing and die with the process. *)
-let prefetch_pool_mutex = Mutex.create ()
-let prefetch_pool_ref = ref None
-
-let prefetch_pool () =
-  Mutex.lock prefetch_pool_mutex;
-  let p =
-    match !prefetch_pool_ref with
-    | Some p -> p
-    | None ->
-      let p = Prefix_parallel.Pool.create ~jobs:(!jobs + 1) in
-      prefetch_pool_ref := Some p;
-      p
-  in
-  Mutex.unlock prefetch_pool_mutex;
-  p
-
-let prefetch_spawn f = Prefix_parallel.Pool.submit (prefetch_pool ()) f
 
 (* The four plans that rest on the profile's OHDS — the three PreFix
    variants and the HDS baseline's — from one detection.  Every one of
@@ -257,17 +231,7 @@ let run_benchmark_spooling (wl : Workload.t) ~spooled_path =
           spooled_path := Some path;
           fun () -> Prefix_trace.Stream.of_binary_file ?segment_events path
       in
-      (* Pipelined decode: with worker domains available, segment N+1 is
-         decoded on a prefetch worker while segment N is consumed.  The
-         wrapper forwards the exact segment sequence, so reports stay
-         byte-identical to the unwrapped stream.  At --jobs 1 the
-         pipeline is off: same domain count and allocation behavior as
-         before. *)
-      let long_stream () =
-        let s = mk () in
-        if !jobs >= 2 then Prefix_trace.Stream.prefetched ~spawn:prefetch_spawn s else s
-      in
-      (profiling_trace, Streamed mk, long_stream)
+      (profiling_trace, Streamed mk, mk)
     end
     else begin
       let profiling_trace, long_trace =

@@ -144,11 +144,9 @@ val set_jobs : int -> unit
 (** Default degree of parallelism for {!run_all} / {!run_many} when no
     explicit [?jobs] is given.  Starts at 1 — the exact legacy
     sequential path; the CLI's [--jobs] flag lands here.  Values are
-    clamped to [>= 1].  At [jobs >= 2], a streamed evaluation
-    additionally pipelines its decode ({!Prefix_trace.Stream.prefetched}):
-    segment N+1 is decoded on a prefetch worker while all seven
-    sessions replay segment N.  Reports are unaffected — bit-identical
-    whatever [jobs] is. *)
+    clamped to [>= 1].  It spreads independent benchmarks only: one
+    {!run_benchmark} replays on the domain that calls it, whatever
+    [jobs] is. *)
 
 val run_all : ?jobs:int -> unit -> result list
 (** All 13 benchmarks, memoized for the lifetime of the process.

@@ -125,41 +125,6 @@ let jnum f = Printf.sprintf "%.3f" f
 let jobj fields = "{" ^ String.concat "," (List.map (fun (k, v) -> jstr k ^ ":" ^ v) fields) ^ "}"
 let jarr items = "[" ^ String.concat "," items ^ "]"
 
-let span_json (s : Span.completed) =
-  jobj
-    ([ ("name", jstr s.name);
-       ("cat", jstr s.cat);
-       ("tid", string_of_int s.tid);
-       ("start_us", jnum (Clock.us_of_ns s.start_ns));
-       ("dur_us", jnum (Clock.us_of_ns s.dur_ns));
-       ("depth", string_of_int s.depth) ]
-    @ (match s.parent with None -> [] | Some p -> [ ("parent", jstr p) ])
-    @
-    match s.args with
-    | [] -> []
-    | args -> [ ("args", jobj (List.map (fun (k, v) -> (k, jstr v)) args)) ])
-
-let json () =
-  let snap = Metric.snapshot () in
-  jobj
-    [ ("spans", jarr (List.map span_json (Span.completed ())));
-      ("counters", jobj (List.map (fun (k, v) -> (k, string_of_int v)) snap.counters));
-      ("gauges", jobj (List.map (fun (k, v) -> (k, jnum v)) snap.gauges));
-      ( "histograms",
-        jobj
-          (List.map
-             (fun (k, (h : Metric.hist_view)) ->
-               ( k,
-                 jobj
-                   [ ("lo", jnum h.h_lo);
-                     ("width", jnum h.h_width);
-                     ("total", string_of_int h.h_total);
-                     ("underflow", string_of_int h.h_underflow);
-                     ("overflow", string_of_int h.h_overflow);
-                     ("counts", jarr (List.map string_of_int (Array.to_list h.h_counts)))
-                   ] ))
-             snap.histograms) ) ]
-
 (* ---- OpenMetrics / Prometheus text exposition ---- *)
 
 (* Metric names here use dots (executor.llc_misses); the exposition

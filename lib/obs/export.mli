@@ -3,7 +3,6 @@
     Formats:
     - {!report}: a flat text report (span timing table + metrics), for
       terminals;
-    - {!json}: a structured dump of the same data;
     - {!chrome_trace}: Chrome trace-event format, loadable in
       [chrome://tracing] or {{:https://ui.perfetto.dev}Perfetto} —
       includes the flight recorder's series as counter tracks;
@@ -23,10 +22,6 @@ val metrics_report : unit -> string
 
 val report : unit -> string
 (** [span_report] followed by [metrics_report]. *)
-
-val json : unit -> string
-(** The raw spans and metrics snapshot as one JSON object (keys
-    ["spans"], ["counters"], ["gauges"], ["histograms"]). *)
 
 val chrome_trace : unit -> string
 (** Chrome trace-event JSON: every completed span becomes a complete

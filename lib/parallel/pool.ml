@@ -78,45 +78,6 @@ let shutdown t =
   Mutex.unlock t.mutex;
   if was_live then Array.iter Domain.join t.workers
 
-(* Fire-and-forget task with a join handle: the prefetch pipeline runs
-   a stream producer on a worker while the submitting domain consumes.
-   No synchronous fallback for 1-slot pools — a producer run inline
-   would deadlock against its own consumer, so that misuse is rejected
-   loudly instead. *)
-let submit t task =
-  if t.jobs <= 1 then
-    invalid_arg "Pool.submit: needs a pool with at least one worker (jobs >= 2)";
-  let mu = Mutex.create () in
-  let cond = Condition.create () in
-  let done_ = ref false in
-  let err = ref None in
-  let run () =
-    (try task () with e -> err := Some (e, Printexc.get_raw_backtrace ()));
-    Metric.incr (tasks_counter ());
-    Mutex.lock mu;
-    done_ := true;
-    Condition.broadcast cond;
-    Mutex.unlock mu
-  in
-  Mutex.lock t.mutex;
-  if not t.live then begin
-    Mutex.unlock t.mutex;
-    invalid_arg "Pool.submit: pool is shut down"
-  end;
-  Queue.add run t.queue;
-  note_depth t;
-  Condition.broadcast t.work;
-  Mutex.unlock t.mutex;
-  fun () ->
-    Mutex.lock mu;
-    while not !done_ do
-      Condition.wait cond mu
-    done;
-    Mutex.unlock mu;
-    match !err with
-    | Some (e, bt) -> Printexc.raise_with_backtrace e bt
-    | None -> ()
-
 let with_pool ~jobs f =
   let t = create ~jobs in
   Fun.protect ~finally:(fun () -> shutdown t) (fun () -> f t)

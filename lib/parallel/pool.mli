@@ -6,8 +6,9 @@
     merged back {e in input order} regardless of which domain ran which
     task or in what order they finished, so a pooled [map] is
     observationally identical to [List.map] whenever the tasks are
-    independent — the property every consumer (harness, fuzz campaign,
-    bench repetitions) relies on for byte-identical reports.
+    independent — the property every consumer (the harness's and
+    durable runs' benchmark fan-out, the fuzz campaign) relies on for
+    byte-identical reports.
 
     [jobs = 1] short-circuits the machinery entirely: no domains are
     spawned and {!map} {e is} [List.map], the exact legacy sequential
@@ -45,17 +46,6 @@ val map : t -> ('a -> 'b) -> 'a list -> 'b list
 (** [map t f xs] applies [f] to every element of [xs] across the pool
     and returns the results in the order of [xs].  Tasks must not
     depend on each other; [f] runs concurrently with itself. *)
-
-val submit : t -> (unit -> unit) -> unit -> unit
-(** [submit t task] enqueues [task] for a worker domain and returns a
-    join thunk: calling it blocks until the task has run and re-raises
-    (with its backtrace) anything the task raised.  Used to run a
-    stream-prefetch producer concurrently with its consumer
-    ({!Prefix_trace.Stream.prefetched}); unlike {!map} the submitting
-    domain does {e not} steal the task, so it really runs
-    concurrently.  Raises [Invalid_argument] on a 1-slot pool (no
-    worker to run on — executing inline would deadlock a
-    producer/consumer pair) or after {!shutdown}. *)
 
 val shutdown : t -> unit
 (** Drain and join the worker domains.  Idempotent.  Calling {!map}

@@ -153,107 +153,6 @@ let of_binary_file ?(segment_events = default_segment_events) path =
   in
   { segment_events; feed }
 
-(* ---- prefetch pipelining --------------------------------------------- *)
-
-exception Consumer_abort
-
-(* Decode ahead of replay: a producer (spawned per pass) runs the
-   underlying stream and copies each segment into one of two hand-off
-   buffers — the double-buffered decoder scratch — while the consumer
-   replays the other.  Classic bounded buffer of depth 2: the producer
-   is at most one segment ahead, so memory stays O(2·segment_events)
-   and the emitted segment sequence is exactly the underlying one
-   (same order, same contents, same boundaries — byte-identical
-   reports downstream).  Segments obey the usual contract: valid only
-   for the duration of the callback. *)
-let prefetched ?spawn t =
-  let spawn =
-    match spawn with
-    | Some s -> s
-    | None -> fun f -> let d = Domain.spawn f in fun () -> Domain.join d
-  in
-  let segment_events = t.segment_events in
-  let feed emit =
-    let bufs =
-      [| Packed.Buf.create segment_events; Packed.Buf.create segment_events |]
-    in
-    let full = [| false; false |] in
-    let finished = ref false in
-    let aborted = ref false in
-    let perr = ref None in
-    let mu = Mutex.create () in
-    let cond = Condition.create () in
-    let producer () =
-      (try
-         let slot = ref 0 in
-         t.feed (fun seg ->
-             let s = !slot in
-             Mutex.lock mu;
-             while full.(s) && not !aborted do
-               Condition.wait cond mu
-             done;
-             let ab = !aborted in
-             Mutex.unlock mu;
-             if ab then raise Consumer_abort;
-             let b = bufs.(s) in
-             Packed.Buf.clear b;
-             Packed.Buf.blit_packed b seg ~pos:0 ~len:(Packed.length seg);
-             Mutex.lock mu;
-             full.(s) <- true;
-             Condition.broadcast cond;
-             Mutex.unlock mu;
-             slot := 1 - s)
-       with
-      | Consumer_abort -> ()
-      | e ->
-        let bt = Printexc.get_raw_backtrace () in
-        Mutex.lock mu;
-        perr := Some (e, bt);
-        Mutex.unlock mu);
-      Mutex.lock mu;
-      finished := true;
-      Condition.broadcast cond;
-      Mutex.unlock mu
-    in
-    let join = spawn producer in
-    (* Consumer drains slots in the same alternating order the producer
-       fills them, so the next undelivered segment is always at [slot]. *)
-    (try
-       let slot = ref 0 in
-       let continue = ref true in
-       while !continue do
-         let s = !slot in
-         Mutex.lock mu;
-         while (not full.(s)) && not !finished do
-           Condition.wait cond mu
-         done;
-         let has = full.(s) in
-         Mutex.unlock mu;
-         if has then begin
-           emit (Packed.Buf.view bufs.(s));
-           Mutex.lock mu;
-           full.(s) <- false;
-           Condition.broadcast cond;
-           Mutex.unlock mu;
-           slot := 1 - s
-         end
-         else continue := false
-       done
-     with e ->
-       let bt = Printexc.get_raw_backtrace () in
-       Mutex.lock mu;
-       aborted := true;
-       Condition.broadcast cond;
-       Mutex.unlock mu;
-       join ();
-       Printexc.raise_with_backtrace e bt);
-    join ();
-    match !perr with
-    | Some (e, bt) -> Printexc.raise_with_backtrace e bt
-    | None -> ()
-  in
-  { segment_events; feed }
-
 (* ---- sinks ----------------------------------------------------------- *)
 
 (* One frame per stream segment (sliced when a segment exceeds

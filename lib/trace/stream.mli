@@ -65,22 +65,6 @@ val of_binary_file : ?segment_events:int -> string -> t
     Iterating raises [Failure] on corruption, [Sys_error] on open
     failure. *)
 
-val prefetched : ?spawn:((unit -> unit) -> unit -> unit) -> t -> t
-(** [prefetched t] overlaps decode with consumption: each pass spawns
-    a producer that runs [t]'s generator one segment ahead, handing
-    segments over through two alternating buffers (double-buffered
-    scratch), so segment N+1 decodes while segment N is being
-    consumed.  The emitted segment sequence is exactly [t]'s — same
-    order, contents and boundaries — so downstream reports are
-    byte-identical; memory is bounded by two extra segments.  [spawn]
-    overrides how the producer is started (e.g. on a
-    {!Prefix_parallel.Pool} worker via [Pool.submit]); it must run its
-    argument exactly once, possibly concurrently, and the returned
-    thunk must join it.  Defaults to [Domain.spawn]/[Domain.join].
-    Consumer exceptions abort the producer and re-raise; producer
-    exceptions (e.g. decode [Failure]) re-raise at the consumer after
-    the handed-over segments are drained. *)
-
 val to_columnar_file : ?frame_events:int -> t -> string -> unit
 (** Spool the stream into a columnar (v3) container, one frame per
     segment (atomic write).  [of_binary_file] on the result replays

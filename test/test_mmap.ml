@@ -7,8 +7,7 @@
      lenient outcome on clean, truncated and byte-flipped v1/v2/v3
      containers, and [Stream.of_binary_file] segments concatenate to
      the trace and cut at every frame boundary;
-   - pipeline equivalence: [Stream.prefetched] emits its inner
-     stream's exact segment sequence, and a fan-out of N policies
+   - fan-out equivalence: a fan-out of N policies
      ([Executor.run_stream_many]) matches N fan-outs of one
      outcome-for-outcome. *)
 
@@ -186,51 +185,7 @@ let prop_stream_segments =
       ok (Binfmt.to_bytes_framed ~frame_events:48 trace)
       && ok (Columnar.to_bytes ~frame_events:48 (Packed.of_trace trace)))
 
-(* ---- pipeline equivalence ---- *)
-
-let test_prefetched_segments () =
-  let trace = workload_trace () in
-  let stream = Stream.of_trace ~segment_events:700 trace in
-  let collect s =
-    let acc = ref [] in
-    Stream.iter_segments s (fun ~base seg ->
-        acc := (base, Trace.to_list (Packed.to_trace seg)) :: !acc);
-    List.rev !acc
-  in
-  let plain = collect stream in
-  let pre = Stream.prefetched stream in
-  Alcotest.(check bool) "same segments" true (collect pre = plain);
-  (* Re-iteration spawns a fresh producer; the hand-off scratch must not
-     leak state between passes. *)
-  Alcotest.(check bool) "same segments on re-iteration" true (collect pre = plain)
-
-let test_prefetched_replay_equal () =
-  let p = Packed.of_trace (workload_trace ()) in
-  let path = Filename.temp_file "prefix_prefetch" ".pfxt" in
-  Fun.protect
-    ~finally:(fun () -> Sys.remove path)
-    (fun () ->
-      Columnar.write_file path p;
-      let replay s = List.hd (Executor.run_stream_many ~policies:[ baseline ] s) in
-      let plain = replay (Stream.of_binary_file path) in
-      let pre = replay (Stream.prefetched (Stream.of_binary_file path)) in
-      Alcotest.(check bool) "metrics" true
-        (plain.Executor.metrics = pre.Executor.metrics);
-      Alcotest.(check bool) "recovery" true
-        (plain.Executor.recovery = pre.Executor.recovery))
-
-let test_prefetched_consumer_abort () =
-  let stream = Stream.of_trace ~segment_events:100 (workload_trace ()) in
-  let pre = Stream.prefetched stream in
-  (match
-     Stream.iter_segments pre (fun ~base:_ _ -> failwith "consumer bails")
-   with
-  | () -> Alcotest.fail "consumer exception swallowed"
-  | exception Failure m -> Alcotest.(check string) "re-raised" "consumer bails" m);
-  (* The stream stays usable after an aborted pass. *)
-  let n = ref 0 in
-  Stream.iter_segments pre (fun ~base:_ seg -> n := !n + Packed.length seg);
-  Alcotest.(check int) "events after abort" (Trace.length (workload_trace ())) !n
+(* ---- fan-out equivalence ---- *)
 
 let six_policies () =
   let trace = workload_trace () in
@@ -309,12 +264,6 @@ let suite =
           test_big_version;
         QCheck_alcotest.to_alcotest prop_stream_segments ] );
     ( "replay-pipeline",
-      [ Alcotest.test_case "prefetched emits identical segments" `Quick
-          test_prefetched_segments;
-        Alcotest.test_case "prefetched replay ≡ plain replay" `Quick
-          test_prefetched_replay_equal;
-        Alcotest.test_case "prefetched re-raises consumer exceptions" `Quick
-          test_prefetched_consumer_abort;
-        Alcotest.test_case "run_stream_many ≡ per-policy fan-outs of one" `Quick
+      [ Alcotest.test_case "run_stream_many ≡ per-policy fan-outs of one" `Quick
           test_run_stream_many_equal;
         QCheck_alcotest.to_alcotest prop_run_stream_many_strict_raises_same ] ) ]

@@ -303,19 +303,6 @@ let test_chrome_trace_valid =
           [ "outer"; "inner" ]
       | _ -> Alcotest.fail "no traceEvents array")
 
-let test_json_valid =
-  with_obs (fun () ->
-      record_sample_run ();
-      Metric.incr (Metric.counter "test.json");
-      let j = parse_json (Export.json ()) in
-      (match member "spans" j with
-      | Some (Arr (_ :: _)) -> ()
-      | _ -> Alcotest.fail "spans missing");
-      match member "counters" j with
-      | Some (Obj fields) ->
-        Alcotest.(check bool) "counter exported" true (List.mem_assoc "test.json" fields)
-      | _ -> Alcotest.fail "counters missing")
-
 let test_text_report =
   with_obs (fun () ->
       record_sample_run ();
@@ -382,7 +369,6 @@ let suite =
         Alcotest.test_case "histogram semantics" `Quick test_metric_histogram;
         Alcotest.test_case "disabled metrics drop updates" `Quick test_metric_disabled;
         Alcotest.test_case "chrome trace parses" `Quick test_chrome_trace_valid;
-        Alcotest.test_case "json export parses" `Quick test_json_valid;
         Alcotest.test_case "text report" `Quick test_text_report;
         Alcotest.test_case "pipeline+executor wiring" `Quick test_pipeline_and_executor_spans;
         Alcotest.test_case "zero overhead when off" `Quick test_zero_overhead_off ] ) ]

@@ -5,17 +5,18 @@
    - a generator stream and a columnar container, each at 65,536- and
      1,000-event segments;
    - a generator stream with the flight recorder on;
-   - each of the above at jobs 1 and 2 (the prefetch pipeline);
    - a pooled [Harness.run_many ~jobs:2] over both models;
    - [Durable.run_benchmark], streamed and materialized, checkpointing
      every segment.
 
    Each cell's report must equal that model's section of
    golden_run_reports.expected.  The materialized trace (a one-segment
-   stream, which [jobs] does not touch) is the headline suite's "run
-   reports golden".  A last cell replays roms and swissmap with
-   interval-colored slots through [run_many] at jobs 1 and 2; the two
-   renders must agree.  Every harness setting, the recorder and
+   stream) is the headline suite's "run reports golden".  [jobs] spreads
+   only independent benchmarks: the columnar 1,000-event cell, rerun at
+   jobs 4 with observability on, must print the golden report without
+   running a single pool task.  A last cell replays roms and swissmap
+   with interval-colored slots through [run_many] at jobs 1 and 2; the
+   two renders must agree.  Every harness setting, the recorder and
    observability are restored afterwards, and the memo cache cleared. *)
 
 module Harness = Prefix_experiments.Harness
@@ -40,17 +41,15 @@ let models = [ "libc"; "mysql" ]
 
 (* A streamed harness cell: the default settings plus the cell's own,
    then one fresh (uncached) run of the model. *)
-let harness_cell ?(recorder = false) ?segment_events ?(container = `Generator) ~jobs ()
-    name =
+let harness_cell ?(recorder = false) ?(obs = recorder) ?(jobs = 1) ?segment_events
+    ?(container = `Generator) () name =
   defaults ();
   Harness.set_streaming true;
   Harness.set_segment_events segment_events;
   Harness.set_stream_container container;
   Harness.set_jobs jobs;
-  if recorder then begin
-    Prefix_obs.Control.set true;
-    Prefix_obs.Recorder.configure ~interval_events:65_536 ()
-  end;
+  Prefix_obs.Control.set obs;
+  if recorder then Prefix_obs.Recorder.configure ~interval_events:65_536 ();
   Durable.render (Harness.run_benchmark (Registry.find name))
 
 let durable_cell ~streaming name =
@@ -59,28 +58,21 @@ let durable_cell ~streaming name =
   Durable.render (Durable.run_benchmark cfg (Registry.find name))
 
 let cells =
-  List.concat_map
-    (fun jobs ->
-      let j = Printf.sprintf "jobs %d" jobs in
-      [ ("generator 65536, " ^ j, harness_cell ~segment_events:65_536 ~jobs ());
-        ("generator 1000, " ^ j, harness_cell ~segment_events:1_000 ~jobs ());
-        ( "columnar 65536, " ^ j,
-          harness_cell ~segment_events:65_536 ~container:`Columnar ~jobs () );
-        ( "columnar 1000, " ^ j,
-          harness_cell ~segment_events:1_000 ~container:`Columnar ~jobs () );
-        ("generator + recorder, " ^ j, harness_cell ~recorder:true ~jobs ()) ])
-    [ 1; 2 ]
-  @ [ ("durable streamed", durable_cell ~streaming:true);
-      ("durable materialized", durable_cell ~streaming:false) ]
+  [ ("generator 65536", harness_cell ~segment_events:65_536 ());
+    ("generator 1000", harness_cell ~segment_events:1_000 ());
+    ("columnar 65536", harness_cell ~segment_events:65_536 ~container:`Columnar ());
+    ("columnar 1000", harness_cell ~segment_events:1_000 ~container:`Columnar ());
+    ("generator + recorder", harness_cell ~recorder:true ());
+    ("durable streamed", durable_cell ~streaming:true);
+    ("durable materialized", durable_cell ~streaming:false) ]
+
+let expected name =
+  match List.assoc_opt name (Test_headline.golden_sections ()) with
+  | Some s -> s
+  | None -> Alcotest.failf "no golden report for %s" name
 
 let test_matrix () =
   with_defaults @@ fun () ->
-  let golden = Test_headline.golden_sections () in
-  let expected name =
-    match List.assoc_opt name golden with
-    | Some s -> s
-    | None -> Alcotest.failf "no golden report for %s" name
-  in
   List.iter
     (fun name ->
       List.iter
@@ -95,6 +87,22 @@ let test_matrix () =
     models
     (Harness.run_many ~jobs:2 models)
 
+let pool_tasks () =
+  Option.value ~default:0
+    (List.assoc_opt "parallel.tasks" (Prefix_obs.Metric.snapshot ()).counters)
+
+let test_one_domain_per_run () =
+  with_defaults @@ fun () ->
+  List.iter
+    (fun name ->
+      let before = pool_tasks () in
+      let report =
+        harness_cell ~obs:true ~jobs:4 ~segment_events:1_000 ~container:`Columnar () name
+      in
+      Alcotest.(check string) (name ^ ": columnar 1000, jobs 4") (expected name) report;
+      Alcotest.(check int) (name ^ ": parallel.tasks unchanged") before (pool_tasks ()))
+    models
+
 let test_interval_slots_jobs () =
   with_defaults @@ fun () ->
   let render jobs =
@@ -108,5 +116,7 @@ let test_interval_slots_jobs () =
 let suite =
   [ ( "replay-matrix",
       [ Alcotest.test_case "every replay path prints the golden report" `Slow test_matrix;
+        Alcotest.test_case "one domain per run: jobs 4 runs no pool task" `Slow
+          test_one_domain_per_run;
         Alcotest.test_case "interval slots report, jobs 1 vs 2" `Slow test_interval_slots_jobs ]
     ) ]

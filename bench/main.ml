@@ -23,10 +23,10 @@
    exits 1 when either gate's geomean exceeds its budget.  Speed is
    measured by perfbench/, not here.
 
-   `--jobs N` (anywhere on the command line) sizes the domain pool of
-   the paper reproduction; the default is the runtime's recommended
-   domain count.  Reports are bit-identical for every N.  Any other
-   argument is refused with exit 2. *)
+   `--jobs N` (anywhere on the command line) is the number of domains
+   the paper reproduction spreads its benchmarks across; the default is
+   the runtime's recommended domain count.  Reports are bit-identical
+   for every N.  Any other argument is refused with exit 2. *)
 
 module R = Prefix_experiments.Report
 module Harness = Prefix_experiments.Harness
@@ -267,7 +267,7 @@ let () =
     parse ~benches:Prefix_workloads.Registry.names ~out:"BENCH_overhead.json" rest
   | [] ->
     print_endline "=== PreFix paper reproduction: all tables and figures ===";
-    (* Replay the 13 benchmarks across the pool once; every experiment
+    (* Replay the 13 benchmarks across --jobs domains once; every experiment
        below then hits the memo cache. *)
     ignore (Harness.run_all ());
     print_string (R.run_all ());

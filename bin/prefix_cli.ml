@@ -22,7 +22,7 @@
    created.
 
    Parallelism: experiment/all/fuzz take --jobs N to spread independent
-   benchmarks (or campaign runs) across a domain pool; one benchmark
+   benchmarks (or campaign runs) across N domains; one benchmark
    always replays on one domain, so `run --jobs N` only records N in a
    checkpoint manifest, for `resume` of a directory holding several
    benchmarks.  --jobs 1 is the exact legacy sequential path and every
@@ -934,8 +934,8 @@ let all_cmd =
   let run jobs verbose log_level =
     setup_logs log_level verbose;
     Harness.set_jobs jobs;
-    (* Warm the memo cache across the pool up front; the experiments
-       then find every benchmark already replayed. *)
+    (* Warm the memo cache across --jobs domains up front; the
+       experiments then find every benchmark already replayed. *)
     ignore (Harness.run_all ());
     print_string (Report.run_all ());
     0

@@ -380,9 +380,3 @@ let analyze_stream stream =
 let plan ?config ~variant trace =
   let stats = analyze trace in
   plan_with_stats ?config ~variant stats trace
-
-let all_variants ?config trace =
-  let stats = analyze trace in
-  List.map
-    (fun v -> (v, plan_with_stats ?config ~variant:v stats trace))
-    [ Plan.Hot; Plan.Hds; Plan.HdsHot ]

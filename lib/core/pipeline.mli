@@ -70,7 +70,3 @@ val plan_with_stats :
     given, must be [Detector.detect_with_stats ~config:config.detector
     ~method_:config.method_] of the same profile: the variants then
     share one detection instead of each running its own. *)
-
-val all_variants :
-  ?config:config -> Prefix_trace.Trace.t -> (Plan.variant * Plan.t) list
-(** Plans for Hot, Hds and HdsHot sharing one analysis pass. *)

@@ -78,6 +78,10 @@ let trace_digest profiling_trace =
   Prefix_trace.Binfmt.write buf profiling_trace;
   Digest.to_hex (Digest.string (Buffer.contents buf))
 
+(* The identity every checkpoint file of a run is checked against.
+   [jobs] is not part of it, since a benchmark replays identically at
+   any [jobs]; the manifest records it beside the identity, to size
+   [resume]'s map. *)
 let meta_of cfg (wl : Workload.t) ~digest =
   [ ("bench", wl.name);
     ("scale", Workload.scale_name cfg.scale);
@@ -86,7 +90,6 @@ let meta_of cfg (wl : Workload.t) ~digest =
     ( "segment_events",
       string_of_int
         (Option.value ~default:Stream.default_segment_events cfg.segment_events) );
-    ("jobs", string_of_int cfg.jobs);
     ("trace_digest", digest);
     ("config_digest", config_digest ()) ]
 
@@ -108,7 +111,9 @@ let write_or_check_manifest cfg (wl : Workload.t) ~digest bdir =
   end
   else
     Checkpoint.save ~path
-      { Checkpoint.kind = "manifest"; meta; event_index = 0 }
+      { Checkpoint.kind = "manifest";
+        meta = meta @ [ ("jobs", string_of_int cfg.jobs) ];
+        event_index = 0 }
       ~payload:"";
   meta
 
@@ -333,14 +338,9 @@ let run_benchmark cfg (wl : Workload.t) : Harness.result =
       Prefix_obs.Recorder.poll ~label:("durable:" ^ wl.name) ();
       outcomes)
 
-(* Benchmarks spread across a domain pool of [jobs] when there are
-   several. *)
-let pooled ~jobs f xs =
-  if jobs <= 1 || List.length xs <= 1 then List.map f xs
-  else Prefix_parallel.Pool.with_pool ~jobs (fun pool -> Prefix_parallel.Pool.map pool f xs)
-
 let run_many cfg names =
-  pooled ~jobs:cfg.jobs (run_benchmark cfg) (List.map Prefix_workloads.Registry.find names)
+  Prefix_parallel.Pool.map ~jobs:cfg.jobs (run_benchmark cfg)
+    (List.map Prefix_workloads.Registry.find names)
 
 (* ---- resume --------------------------------------------------------- *)
 
@@ -403,7 +403,7 @@ let resume ~dir ~every ~guardrails =
        scales, modes or segment sizes. *)
     let jobs = List.fold_left (fun j (_, cfg) -> max j cfg.jobs) 1 runs in
     ( List.map fst runs,
-      pooled ~jobs
+      Prefix_parallel.Pool.map ~jobs
         (fun (name, cfg) -> run_benchmark cfg (Prefix_workloads.Registry.find name))
         runs )
 

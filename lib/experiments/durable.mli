@@ -7,9 +7,10 @@
     the run instead of restarting it, with a byte-identical report.
 
     Per benchmark the directory holds a [manifest] (run identity:
-    bench, scale, seed, streaming mode, segment size, jobs, trace and
-    config digests — validated on resume, so a stale or mismatched
-    checkpoint directory is refused), rolling [*.ckpt]/[*.ckpt.prev]
+    bench, scale, seed, streaming mode, segment size, trace and config
+    digests — validated on resume, so a stale or mismatched checkpoint
+    directory is refused — plus the [jobs] it ran with, which is not
+    part of the identity), rolling [*.ckpt]/[*.ckpt.prev]
     snapshots for the long-run statistics pass ([stats.ckpt]) and the
     seven-policy replay ([replay.ckpt]: the seven policies replay in
     one fan-out pass, and each save holds all seven executor sessions
@@ -34,7 +35,10 @@ type t = {
   guardrails : Prefix_runtime.Checkpoint.guardrails;
       (** checked at segment boundaries; a breach flushes a final
           checkpoint and raises {!Prefix_runtime.Checkpoint.Breach} *)
-  jobs : int;  (** benchmarks replayed in parallel by {!run_many} *)
+  jobs : int;
+      (** benchmarks replayed in parallel by {!run_many}; recorded in
+          the manifest but not checked, so a run may be finished under
+          another [jobs] *)
   scale : Prefix_workloads.Workload.scale;  (** evaluation scale *)
   streaming : bool;  (** bounded-memory evaluation ([--stream]) *)
   segment_events : int option;
@@ -53,9 +57,9 @@ val run_benchmark : t -> Prefix_workloads.Workload.t -> Harness.result
     flushing a resumable checkpoint). *)
 
 val run_many : t -> string list -> Harness.result list
-(** Durable {!Harness.run_many}: independent benchmarks spread across a
-    domain pool when [jobs > 1]; each benchmark raises as
-    {!run_benchmark} does. *)
+(** Durable {!Harness.run_many}: independent benchmarks spread across
+    [jobs] domains by {!Prefix_parallel.Pool.map}; each benchmark raises
+    as {!run_benchmark} does. *)
 
 val resume :
   dir:string ->
@@ -65,7 +69,7 @@ val resume :
 (** Finish every benchmark recorded under [dir], each under the
     configuration (scale, streaming, segment size, jobs) its own
     manifest records — benchmarks checkpointed with different settings
-    can share a directory.  Benchmarks spread across a domain pool of
+    can share a directory.  Benchmarks spread across as many domains as
     the largest recorded [jobs].  Returns the benchmark names with their
     results.  Raises [Invalid_argument] when [every <= 0], before any
     work. *)

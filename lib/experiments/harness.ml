@@ -291,57 +291,28 @@ let run_benchmark (wl : Workload.t) =
     Option.iter unspool !spooled_path;
     Printexc.raise_with_backtrace e bt
 
-(* The memo cache is shared by every experiment; pooled [run_all]s fill
-   it from several domains at once, so all access goes through a mutex
-   (never held while a benchmark actually runs). *)
+(* The memo cache is shared by every experiment.  Only the calling
+   domain touches it: [run_many] stores what its map returns. *)
 let cache : (string, result) Hashtbl.t = Hashtbl.create 16
-let cache_mutex = Mutex.create ()
 
-let cached name =
-  Mutex.lock cache_mutex;
-  let r = Hashtbl.find_opt cache name in
-  Mutex.unlock cache_mutex;
-  r
-
-(* First store wins, so two domains racing on the same benchmark agree
-   on which (bit-identical anyway) result everyone sees. *)
-let store name r =
-  Mutex.lock cache_mutex;
-  let r =
-    match Hashtbl.find_opt cache name with
-    | Some existing -> existing
-    | None ->
-      Hashtbl.replace cache name r;
-      r
-  in
-  Mutex.unlock cache_mutex;
-  r
-
-let clear_cache () =
-  Mutex.lock cache_mutex;
-  Hashtbl.reset cache;
-  Mutex.unlock cache_mutex
+let clear_cache () = Hashtbl.reset cache
 
 let find name =
-  match cached name with
+  match Hashtbl.find_opt cache name with
   | Some r -> r
-  | None -> store name (run_benchmark (Prefix_workloads.Registry.find name))
+  | None ->
+    let r = run_benchmark (Prefix_workloads.Registry.find name) in
+    Hashtbl.replace cache name r;
+    r
 
 let run_many ?jobs:j names =
-  let j = match j with Some j -> max 1 j | None -> !jobs in
-  let missing = List.filter (fun n -> cached n = None) names in
-  (match missing with
-  | [] -> ()
-  | [ n ] -> ignore (find n)
-  | missing when j = 1 -> List.iter (fun n -> ignore (find n)) missing
-  | missing ->
-    Prefix_parallel.Pool.with_pool ~jobs:j (fun pool ->
-        let rs =
-          Prefix_parallel.Pool.map pool
-            (fun n -> run_benchmark (Prefix_workloads.Registry.find n))
-            missing
-        in
-        List.iter2 (fun n r -> ignore (store n r)) missing rs));
+  let missing = List.filter (fun n -> not (Hashtbl.mem cache n)) names in
+  let rs =
+    Prefix_parallel.Pool.map ~jobs:(Option.value j ~default:!jobs)
+      (fun n -> run_benchmark (Prefix_workloads.Registry.find n))
+      missing
+  in
+  List.iter2 (Hashtbl.replace cache) missing rs;
   List.map find names
 
 let run_all ?jobs () = run_many ?jobs Prefix_workloads.Registry.names

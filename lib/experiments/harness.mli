@@ -141,19 +141,19 @@ val run_benchmark : Prefix_workloads.Workload.t -> result
     stream. *)
 
 val set_jobs : int -> unit
-(** Default degree of parallelism for {!run_all} / {!run_many} when no
-    explicit [?jobs] is given.  Starts at 1 — the exact legacy
-    sequential path; the CLI's [--jobs] flag lands here.  Values are
-    clamped to [>= 1].  It spreads independent benchmarks only: one
-    {!run_benchmark} replays on the domain that calls it, whatever
-    [jobs] is. *)
+(** Default [jobs] for {!run_all} / {!run_many} when no explicit
+    [?jobs] is given.  Starts at 1 — the exact legacy sequential path;
+    the CLI's [--jobs] flag lands here.  Values are clamped to [>= 1].
+    It spreads independent benchmarks only: one {!run_benchmark}
+    replays on the domain that calls it, whatever [jobs] is. *)
 
 val run_all : ?jobs:int -> unit -> result list
 (** All 13 benchmarks, memoized for the lifetime of the process.
-    Uncached benchmarks run across a domain pool of [jobs] (default:
-    the {!set_jobs} setting).  Every benchmark seeds its own RNGs from
-    fixed constants, so results and report text are bit-identical
-    whatever [jobs] is; only wall time changes. *)
+    Uncached benchmarks run in one {!Prefix_parallel.Pool.map} across
+    [jobs] domains (default: the {!set_jobs} setting), and the calling
+    domain memoizes what it returns.  Every benchmark seeds its own
+    RNGs from fixed constants, so results and report text are
+    bit-identical whatever [jobs] is; only wall time changes. *)
 
 val run_many : ?jobs:int -> string list -> result list
 (** Like {!run_all} for an explicit benchmark list, preserving list

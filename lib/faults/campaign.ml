@@ -194,11 +194,10 @@ let one_run cfg ctx (pid, mk) kind fault_seed =
 module Pool = Prefix_parallel.Pool
 
 let run ?(jobs = 1) ?(progress = fun _ -> ()) cfg =
-  Pool.with_pool ~jobs @@ fun pool ->
   (* Phase 1: per-benchmark contexts (trace, plans, clean replays) fan
-     out across the pool; each is built once and then only read. *)
+     out across [jobs] domains; each is built once and then only read. *)
   let ctxs =
-    Pool.map pool
+    Pool.map ~jobs
       (fun bench ->
         progress (Printf.sprintf "campaign: %s" bench);
         bench_ctx ~policies:cfg.policies bench)
@@ -222,7 +221,7 @@ let run ?(jobs = 1) ?(progress = fun _ -> ()) cfg =
       ctxs
   in
   let runs =
-    Pool.map pool
+    Pool.map ~jobs
       (fun (ctx, pol, kind, fault_seed) -> one_run cfg ctx pol kind fault_seed)
       grid
   in

@@ -58,13 +58,13 @@ type run = {
 type summary = { cfg : config; runs : run list }
 
 val run : ?jobs:int -> ?progress:(string -> unit) -> config -> summary
-(** Execute the sweep across a domain pool of [jobs] (default 1 — the
-    sequential path).  Per-benchmark contexts are built first, then the
-    benches x policies x kinds x seeds grid is sharded one run per
-    task; records merge back in grid order, so the summary (and its
-    rendered report) is byte-identical for every [jobs].  [progress] is
-    called once per benchmark as its context is built — from the worker
-    domain when [jobs > 1]. *)
+(** Execute the sweep across [jobs] domains (default 1 — the
+    sequential path) with {!Prefix_parallel.Pool.map}.  Per-benchmark
+    contexts are built first, then the benches x policies x kinds x
+    seeds grid is sharded one run per item; records merge back in grid
+    order, so the summary (and its rendered report) is byte-identical
+    for every [jobs].  [progress] is called once per benchmark as its
+    context is built — from a spawned domain when [jobs > 1]. *)
 
 val exceptions : summary -> string list
 (** Human-readable description of every uncaught exception (must be

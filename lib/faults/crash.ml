@@ -13,9 +13,9 @@
 
    The parent stays single-domain throughout (it only forks and waits);
    every durable run — including the clean reference — happens in a
-   child, so forking never races a domain pool.  Children with jobs=2
-   replay two benchmarks across a pool, putting kill points inside
-   concurrent checkpoint writers.
+   child, so forking never races a running domain.  Children with
+   jobs=2 replay two benchmarks on two domains, putting kill points
+   inside concurrent checkpoint writers.
 
    Every kill lands on a checkpoint-write boundary by construction, and
    each child performs at least one save before dying (saves only
@@ -175,7 +175,7 @@ let run ?(progress = fun _ -> ()) cfg =
     cfg.benches;
   Fsio.mkdir_p cfg.dir;
   (* jobs=1 exercises each benchmark alone; jobs=2 pairs them so kill
-     points land inside pooled, concurrent checkpoint writers. *)
+     points land inside concurrent checkpoint writers. *)
   let cases =
     List.map (fun b -> { c_benches = [ b ]; c_jobs = 1 }) cfg.benches
     @

@@ -2,7 +2,7 @@
     checkpoint boundaries, resume them, and require the final report to
     be byte-identical to an uninterrupted run's.
 
-    Each case runs one or two benchmarks (jobs 1 and 2 — the pooled
+    Each case runs one or two benchmarks (jobs 1 and 2 — the two-domain
     case puts kill points inside concurrent checkpoint writers) as a
     chain of forked children over a shared checkpoint directory.  A
     child SIGKILLs itself after its k-th checkpoint write (seeded RNG);
@@ -10,7 +10,7 @@
     file — truncation or a byte flip — to exercise the CRC + [.prev]
     fallback.  The parent stays single-domain: every durable run,
     including the clean reference, happens in a child, so forking never
-    races a domain pool.
+    races a running domain.
 
     Cases cycle (fresh directories, fresh kill schedules) until
     [target_kills] kills have been exercised. *)

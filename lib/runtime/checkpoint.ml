@@ -5,12 +5,17 @@
      "PFXC" | u8 version | u32le hlen | header | u32le crc(header)
             | u64le plen | payload | u32le crc(payload)
 
-   where [header] is a Marshal of a plain record (no closures) that
-   carries enough identity — kind, metadata key/values such as trace and
-   config digests, event index — to refuse a checkpoint written by a
-   different run, and [payload] is an opaque string (typically a
-   marshaled {!Executor.session}).  The header has its own CRC so it can
-   be validated without reading the payload.
+   where [header] carries enough identity — kind, metadata key/values
+   such as trace and config digests, event index — to refuse a
+   checkpoint written by a different run, and [payload] is an opaque
+   string (typically a marshaled {!Executor.session}).  The header has
+   its own CRC so it can be validated without reading the payload.  It
+   is encoded field by field, never marshaled, so a forged header with
+   a valid CRC is an [Error], not a crash:
+
+     header = u32le len | kind | u32le npairs
+              | npairs * (u32le len | key | u32le len | value)
+              | u64le event_index
 
    Writes are atomic (temp + fsync + rename, bounded retry) and rotate
    the previous file to [*.prev]; loads fall back to [*.prev] when the
@@ -21,7 +26,7 @@ module Crc32 = Prefix_util.Crc32
 module Fsio = Prefix_util.Fsio
 
 let magic = "PFXC"
-let version = 1
+let version = 2
 
 type header = {
   kind : string;
@@ -63,8 +68,61 @@ let reset_saves () = Atomic.set save_count 0
 
 (* ---- encode / decode ------------------------------------------------ *)
 
+let encode_header h =
+  let buf = Buffer.create 256 in
+  let put_string s =
+    put_u32le buf (String.length s);
+    Buffer.add_string buf s
+  in
+  put_string h.kind;
+  put_u32le buf (List.length h.meta);
+  List.iter
+    (fun (k, v) ->
+      put_string k;
+      put_string v)
+    h.meta;
+  put_u64le buf h.event_index;
+  Buffer.contents buf
+
+exception Malformed of string
+
+(* Every length is checked against the bytes left before it is used, a
+   bound that cannot wrap. *)
+let parse_header hbytes =
+  let len = String.length hbytes in
+  let pos = ref 0 in
+  let take n what =
+    if n > len - !pos then raise (Malformed what);
+    let p = !pos in
+    pos := p + n;
+    p
+  in
+  let u32 what = get_u32le hbytes (take 4 what) in
+  let str what =
+    let n = u32 what in
+    String.sub hbytes (take n what) n
+  in
+  let rec pairs n acc =
+    if n = 0 then List.rev acc
+    else
+      let k = str "meta key" in
+      let v = str "meta value" in
+      pairs (n - 1) ((k, v) :: acc)
+  in
+  match
+    let kind = str "kind" in
+    let meta = pairs (u32 "meta count") [] in
+    let p = take 8 "event index" in
+    (* A non-negative int has its top two bits clear. *)
+    if Char.code hbytes.[p + 7] > 0x3f then raise (Malformed "event index");
+    if !pos <> len then raise (Malformed "trailing bytes");
+    { kind; meta; event_index = get_u64le hbytes p }
+  with
+  | h -> Ok h
+  | exception Malformed what -> Error ("malformed checkpoint header (" ^ what ^ ")")
+
 let encode header ~payload =
-  let hbytes = Marshal.to_string header [] in
+  let hbytes = encode_header header in
   let buf = Buffer.create (String.length hbytes + String.length payload + 64) in
   Buffer.add_string buf magic;
   Buffer.add_char buf (Char.chr version);
@@ -91,11 +149,7 @@ let decode_header data =
       let hbytes = String.sub data 9 hlen in
       let hcrc = get_u32le data (9 + hlen) in
       if Crc32.string hbytes <> hcrc then Error "checkpoint header CRC mismatch"
-      else
-        match (Marshal.from_string hbytes 0 : header) with
-        | h -> Ok (h, 9 + hlen + 4)
-        | exception (Failure _ | Invalid_argument _) ->
-          Error "checkpoint header does not match this binary"
+      else Result.map (fun h -> (h, 9 + hlen + 4)) (parse_header hbytes)
     end
   end
 

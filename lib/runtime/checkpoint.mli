@@ -2,6 +2,9 @@
 
     A checkpoint file carries a plain header (kind + metadata key/values
     + event index) and an opaque payload, each protected by a CRC-32.
+    The header is encoded field by field, with every length checked
+    against the header's bytes on decode, so no header byte ever
+    reaches [Marshal].
     Saves are atomic (temp + fsync + rename) and rotate the previous
     file to [path ^ ".prev"]; {!load} falls back to the rotated copy
     when the current file is torn or corrupt, so a crash mid-write loses
@@ -28,8 +31,8 @@ val load_file : string -> (header * string, string) result
 (** Read and validate exactly one file (no fallback). *)
 
 val validate : path:string -> (header, string) result
-(** Header-only validation of one file: magic, version, header CRC,
-    payload length and payload CRC.  Used by [resume --check]. *)
+(** Header-only validation of one file: magic, version, header CRC and
+    fields, payload length and payload CRC.  Used by [resume --check]. *)
 
 val check_meta :
   header -> kind:string -> meta:(string * string) list -> (unit, string) result
@@ -39,6 +42,7 @@ val check_meta :
 val encode : header -> payload:string -> string
 
 val decode : string -> (header * string, string) result
+(** Never raises: any input it cannot accept is an [Error]. *)
 
 val prev_path : string -> string
 

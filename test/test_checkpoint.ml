@@ -224,6 +224,77 @@ let test_payload_length_overflow () =
   | Ok (_, _, `Current) -> Alcotest.fail "read the corrupt current copy"
   | Error e -> Alcotest.fail e
 
+(* A container around arbitrary header bytes, with both CRCs valid, so
+   the header decoder itself is what must refuse them. *)
+let container_with_header hbytes =
+  let module Binfmt = Prefix_trace.Binfmt in
+  let buf = Buffer.create 64 in
+  (* magic and the current version byte *)
+  Buffer.add_string buf (String.sub (Checkpoint.encode sample_header ~payload:"") 0 5);
+  Binfmt.put_u32le buf (String.length hbytes);
+  Buffer.add_string buf hbytes;
+  Binfmt.put_u32le buf (Prefix_util.Crc32.string hbytes);
+  Buffer.add_string buf (String.make 8 '\000');  (* empty payload *)
+  Binfmt.put_u32le buf (Prefix_util.Crc32.string "");
+  Buffer.contents buf
+
+(* A manifest whose CRC-valid header is [Marshal.to_string 42 []]: while
+   headers were marshaled, [resume] and [resume --check] unmarshaled it
+   as a header record and died with SIGSEGV. *)
+let forged_manifest = container_with_header (Marshal.to_string 42 [])
+
+let test_forged_header () =
+  Alcotest.(check int) "46-byte manifest" 46 (String.length forged_manifest);
+  (match Checkpoint.decode forged_manifest with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "decoded a forged header");
+  with_temp_dir @@ fun dir ->
+  let bdir = Filename.concat dir "libc" in
+  Fsio.mkdir_p bdir;
+  let path = Filename.concat bdir "manifest" in
+  Fsio.atomic_write_string path forged_manifest;
+  (match Checkpoint.validate ~path with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "validated a forged header");
+  let module Durable = Prefix_experiments.Durable in
+  (match Durable.check ~dir with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "resume --check accepted a forged manifest");
+  match Durable.resume ~dir ~every:1 ~guardrails:Checkpoint.no_guardrails with
+  | _ -> Alcotest.fail "resumed from a forged manifest"
+  | exception Failure _ -> ()
+
+(* The header bytes of a real container. *)
+let sample_header_bytes =
+  let data = Checkpoint.encode sample_header ~payload:"" in
+  let b i = Char.code data.[5 + i] in
+  String.sub data 9 (b 0 lor (b 1 lsl 8) lor (b 2 lsl 16) lor (b 3 lsl 24))
+
+(* Arbitrary bytes, and real headers with a few bytes overwritten (so
+   lengths and counts take any value) then cut short or extended. *)
+let header_bytes =
+  let open QCheck.Gen in
+  let edited =
+    map3
+      (fun edits cut tail ->
+        let b = Bytes.of_string sample_header_bytes in
+        List.iter (fun (i, c) -> Bytes.set b (i mod Bytes.length b) c) edits;
+        String.sub (Bytes.to_string b) 0 (min cut (Bytes.length b)) ^ tail)
+      (list_size (0 -- 4) (pair nat char))
+      (0 -- 200)
+      (frequency [ (3, return ""); (1, string_size (1 -- 8)) ])
+  in
+  QCheck.make ~print:(Printf.sprintf "%S") (oneof [ string_size (0 -- 64); edited ])
+
+let prop_header_bytes_never_raise =
+  QCheck.Test.make ~name:"CRC-valid header bytes never raise" ~count:2000 header_bytes
+    (fun hbytes ->
+      let data = container_with_header hbytes in
+      match Checkpoint.decode data with
+      | Error _ -> true
+      (* An accepted header is canonical: it encodes back to its bytes. *)
+      | Ok (h, _) -> Checkpoint.encode h ~payload:"" = data)
+
 (* ---- durable runs: interruption, torn state, identity ---- *)
 
 module Durable = Prefix_experiments.Durable
@@ -353,6 +424,26 @@ let test_durable_jobs2_kill_resume () =
   in
   Alcotest.(check string) "pooled resume" clean resumed
 
+(* [jobs] is recorded in the manifest but is not part of a run's
+   identity: one benchmark replays identically at any [jobs], so a run
+   interrupted under one finishes under another. *)
+let test_durable_resume_under_other_jobs () =
+  let wl = Registry.find "libc" in
+  with_temp_dir @@ fun clean_dir ->
+  let clean = Durable.render (Durable.run_benchmark (durable_cfg ~dir:clean_dir) wl) in
+  List.iter
+    (fun (before, after) ->
+      with_temp_dir @@ fun dir ->
+      let cfg = { (durable_cfg ~dir) with jobs = before } in
+      (match run_killed cfg wl ~kill_after:3 with
+      | None -> ()
+      | Some _ -> Alcotest.fail "expected the run to be interrupted");
+      Alcotest.(check string)
+        (Printf.sprintf "interrupted at jobs %d, finished at jobs %d" before after)
+        clean
+        (Durable.render (Durable.run_benchmark { cfg with jobs = after } wl)))
+    [ (1, 2); (2, 1) ]
+
 let test_durable_refuses_foreign_directory () =
   let wl = Registry.find "libc" in
   with_temp_dir @@ fun dir ->
@@ -447,6 +538,8 @@ let suite =
           test_container_rejects_corruption;
         Alcotest.test_case "container identity check" `Quick test_container_meta_check;
         Alcotest.test_case "payload length overflow" `Quick test_payload_length_overflow;
+        Alcotest.test_case "forged header" `Quick test_forged_header;
+        QCheck_alcotest.to_alcotest prop_header_bytes_never_raise;
         Alcotest.test_case "save rotation and torn fallback" `Quick
           test_save_rotation_and_torn_fallback ] );
     ( "durable",
@@ -458,6 +551,8 @@ let suite =
           test_durable_materialized_kill_resume;
         Alcotest.test_case "pooled (jobs=2) kill/resume" `Quick
           test_durable_jobs2_kill_resume;
+        Alcotest.test_case "resume under another jobs" `Quick
+          test_durable_resume_under_other_jobs;
         Alcotest.test_case "refuses a foreign directory" `Quick
           test_durable_refuses_foreign_directory;
         Alcotest.test_case "resume with mixed configurations" `Quick

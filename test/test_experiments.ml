@@ -73,6 +73,23 @@ let test_report_registry () =
   Alcotest.(check bool) "find" true (R.find "table3" <> None);
   Alcotest.(check bool) "unknown" true (R.find "nope" = None)
 
+(* The stability table marks a model seed-free when its traces do not
+   depend on the seed; mcf's and leela's generators draw no random
+   numbers, the other three do. *)
+let test_stability_seed_free () =
+  let module S = Prefix_experiments.Exp_stability in
+  let gen name seed =
+    (Prefix_workloads.Registry.find name).generate
+      ~scale:Prefix_workloads.Workload.Profiling ~seed ()
+  in
+  List.iter
+    (fun (name, seed_free) ->
+      Alcotest.(check bool) name seed_free
+        (List.for_all
+           (fun seed -> S.same_trace (gen name seed) (gen name (List.hd S.seeds)))
+           (List.tl S.seeds)))
+    [ ("mcf", true); ("ft", false); ("health", false); ("leela", true); ("analyzer", false) ]
+
 let suite =
   [ ( "experiments",
       [ Alcotest.test_case "paper data complete" `Quick test_paper_data_complete;
@@ -80,4 +97,6 @@ let suite =
         Alcotest.test_case "fig2 layout" `Quick test_fig2_layout_matches_paper;
         Alcotest.test_case "libc end to end" `Slow test_libc_end_to_end;
         Alcotest.test_case "swissmap recycling" `Slow test_swissmap_recycling_claims;
-        Alcotest.test_case "report registry" `Quick test_report_registry ] ) ]
+        Alcotest.test_case "report registry" `Quick test_report_registry;
+        Alcotest.test_case "stability marks seed-free models" `Quick
+          test_stability_seed_free ] ) ]

@@ -1,4 +1,4 @@
-(* Tests for Prefix_parallel.Pool and the parallel wiring: ordered
+(* Tests for Prefix_parallel.Pool.map and the parallel wiring: ordered
    deterministic map, exception propagation, metric-registry
    consistency under concurrent emission, and jobs-N ≡ jobs-1
    equivalence for the harness and the fuzz campaign. *)
@@ -7,9 +7,9 @@ module Pool = Prefix_parallel.Pool
 module Control = Prefix_obs.Control
 module Metric = Prefix_obs.Metric
 module Harness = Prefix_experiments.Harness
+module Durable = Prefix_experiments.Durable
 module Injector = Prefix_faults.Injector
 module Campaign = Prefix_faults.Campaign
-module M = Prefix_runtime.Metrics
 
 let check = Alcotest.check
 let ci = Alcotest.int
@@ -21,19 +21,17 @@ let test_default_jobs () =
   Alcotest.(check bool) "bounded" true (Pool.default_jobs () <= 64)
 
 let test_map_basic () =
-  Pool.with_pool ~jobs:4 @@ fun pool ->
-  check ci "jobs recorded" 4 (Pool.jobs pool);
   Alcotest.(check (list int)) "order preserved"
     [ 1; 4; 9; 16; 25 ]
-    (Pool.map pool (fun x -> x * x) [ 1; 2; 3; 4; 5 ]);
-  Alcotest.(check (list int)) "empty" [] (Pool.map pool (fun x -> x) []);
-  Alcotest.(check (list int)) "singleton" [ 7 ] (Pool.map pool (fun x -> x) [ 7 ]);
-  (* The pool is reusable across maps. *)
-  Alcotest.(check (list int)) "second map" [ 2; 3 ] (Pool.map pool succ [ 1; 2 ])
+    (Pool.map ~jobs:4 (fun x -> x * x) [ 1; 2; 3; 4; 5 ]);
+  Alcotest.(check (list int)) "empty" [] (Pool.map ~jobs:4 (fun x -> x) []);
+  Alcotest.(check (list int)) "singleton" [ 7 ] (Pool.map ~jobs:4 (fun x -> x) [ 7 ]);
+  (* More jobs than items: one domain per item, no idle spawns. *)
+  Alcotest.(check (list int)) "jobs > items" [ 2; 3 ] (Pool.map ~jobs:8 succ [ 1; 2 ]);
+  Alcotest.(check (list int)) "jobs 0" [ 2; 3 ] (Pool.map ~jobs:0 succ [ 1; 2 ])
 
 (* Uneven task durations must not reorder the merge. *)
 let test_map_uneven_durations () =
-  Pool.with_pool ~jobs:4 @@ fun pool ->
   let work x =
     (* Later items finish first. *)
     let spin = (32 - x) * 20_000 in
@@ -45,39 +43,51 @@ let test_map_uneven_durations () =
     x
   in
   let xs = List.init 32 (fun i -> i) in
-  Alcotest.(check (list int)) "merge in input order" xs (Pool.map pool work xs)
+  Alcotest.(check (list int)) "merge in input order" xs (Pool.map ~jobs:4 work xs)
 
 exception Boom of int
 
 let test_map_exception () =
-  Pool.with_pool ~jobs:3 @@ fun pool ->
-  (* The earliest failing index wins, however the schedule interleaves. *)
+  (* The earliest failing index wins, however the schedule interleaves,
+     and only once every item has run. *)
+  let ran = Atomic.make 0 in
   (try
      ignore
-       (Pool.map pool
-          (fun x -> if x mod 2 = 1 then raise (Boom x) else x)
+       (Pool.map ~jobs:3
+          (fun x ->
+            Atomic.incr ran;
+            if x mod 2 = 1 then raise (Boom x) else x)
           [ 0; 1; 2; 3; 4 ]);
      Alcotest.fail "expected Boom"
    with Boom i -> check ci "earliest failure propagates" 1 i);
-  (* The failed batch must not poison the pool. *)
-  Alcotest.(check (list int)) "pool survives" [ 10; 20 ]
-    (Pool.map pool (fun x -> 10 * x) [ 1; 2 ])
+  check ci "every item ran" 5 (Atomic.get ran);
+  (* Each call spawns and joins its own domains: a failed call leaves
+     nothing behind. *)
+  Alcotest.(check (list int)) "next call unaffected" [ 10; 20 ]
+    (Pool.map ~jobs:3 (fun x -> 10 * x) [ 1; 2 ])
 
-let test_map_after_shutdown () =
-  let pool = Pool.create ~jobs:2 in
-  Pool.shutdown pool;
-  Pool.shutdown pool;
-  (* jobs > 1 so the pooled path (not the List.map shortcut) is hit. *)
-  Alcotest.check_raises "map after shutdown"
-    (Invalid_argument "Pool.map: pool is shut down") (fun () ->
-      ignore (Pool.map pool (fun x -> x) [ 1; 2; 3 ]))
+(* Below two jobs or two items the map is [List.map]: every item runs
+   on the calling domain, in input order. *)
+let test_no_domain_below_two () =
+  let me = (Domain.self () :> int) in
+  let seen = ref [] in
+  let f x =
+    seen := ((Domain.self () :> int), x) :: !seen;
+    x
+  in
+  ignore (Pool.map ~jobs:1 f [ 1; 2; 3 ]);
+  ignore (Pool.map ~jobs:4 f [ 4 ]);
+  Alcotest.(check (list (pair int int)))
+    "caller's domain, input order"
+    [ (me, 1); (me, 2); (me, 3); (me, 4) ]
+    (List.rev !seen)
 
 let prop_map_equals_list_map =
   QCheck.Test.make ~name:"Pool.map ≡ List.map for any jobs" ~count:30
     QCheck.(pair (int_range 1 5) (small_list small_int))
     (fun (jobs, xs) ->
       let f x = (x * 73) mod 41 in
-      Pool.with_pool ~jobs (fun pool -> Pool.map pool f xs) = List.map f xs)
+      Pool.map ~jobs f xs = List.map f xs)
 
 (* ---- metric registry under concurrent emission ---- *)
 
@@ -96,23 +106,22 @@ let prop_registry_consistent_concurrent =
       Metric.reset ();
       Fun.protect ~finally:(fun () -> Control.set false) @@ fun () ->
       let tasks = List.init (2 * jobs) (fun i -> i) in
-      Pool.with_pool ~jobs (fun pool ->
-          ignore
-            (Pool.map pool
-               (fun i ->
-                 (* Handles are (re-)registered concurrently on purpose:
-                    same-name registration must return the same cell. *)
-                 let shared = Metric.counter "t.shared" in
-                 let own = Metric.counter (Printf.sprintf "t.own.%d" i) in
-                 let g = Metric.gauge "t.gauge" in
-                 let h = Metric.histogram ~lo:0. ~hi:10. ~buckets:4 "t.hist" in
-                 for _ = 1 to bumps do
-                   Metric.incr shared;
-                   Metric.incr own;
-                   Metric.observe h 5.
-                 done;
-                 Metric.set_max g (float_of_int i))
-               tasks));
+      ignore
+        (Pool.map ~jobs
+           (fun i ->
+             (* Handles are (re-)registered concurrently on purpose:
+                same-name registration must return the same cell. *)
+             let shared = Metric.counter "t.shared" in
+             let own = Metric.counter (Printf.sprintf "t.own.%d" i) in
+             let g = Metric.gauge "t.gauge" in
+             let h = Metric.histogram ~lo:0. ~hi:10. ~buckets:4 "t.hist" in
+             for _ = 1 to bumps do
+               Metric.incr shared;
+               Metric.incr own;
+               Metric.observe h 5.
+             done;
+             Metric.set_max g (float_of_int i))
+           tasks);
       let snap = Metric.snapshot () in
       let n = List.length tasks in
       List.assoc "t.shared" snap.counters = (n * bumps)
@@ -125,24 +134,25 @@ let prop_registry_consistent_concurrent =
       h.Metric.h_total = (n * bumps)
       && Array.fold_left ( + ) 0 h.Metric.h_counts = (n * bumps))
 
+(* [parallel.tasks] counts every item a spawning map runs, on any
+   domain; the [List.map] shortcut counts nothing. *)
 let test_pool_utilization_counters =
   with_obs (fun () ->
-      Pool.with_pool ~jobs:3 @@ fun pool ->
-      ignore (Pool.map pool (fun x -> x * 2) (List.init 64 (fun i -> i)));
+      ignore (Pool.map ~jobs:1 (fun x -> x) (List.init 8 (fun i -> i)));
+      ignore (Pool.map ~jobs:3 (fun x -> x * 2) (List.init 64 (fun i -> i)));
       let snap = Metric.snapshot () in
       check ci "every task counted" 64 (List.assoc "parallel.tasks" snap.counters);
-      let steals = List.assoc "parallel.steals" snap.counters in
-      Alcotest.(check bool) "steals within bounds" true (steals >= 0 && steals <= 64);
-      Alcotest.(check bool) "idle counter registered" true
-        (List.mem_assoc "parallel.idle_ns" snap.counters))
+      Alcotest.(check (list string)) "no other parallel metric" [ "parallel.tasks" ]
+        (List.filter
+           (fun k -> String.starts_with ~prefix:"parallel." k)
+           (List.map fst snap.counters @ List.map fst snap.gauges)))
 
-(* Spans emitted from pool domains: one per task, all well-formed, each
-   tagged with the domain that ran it. *)
+(* Spans emitted from spawned domains: one per task, all well-formed,
+   each tagged with the domain that ran it. *)
 let test_spans_from_domains =
   with_obs (fun () ->
-      Pool.with_pool ~jobs:4 @@ fun pool ->
       ignore
-        (Pool.map pool
+        (Pool.map ~jobs:4
            (fun i -> Prefix_obs.Span.with_ ~cat:"test" "task" (fun () -> i))
            (List.init 16 (fun i -> i)));
       let spans = Prefix_obs.Span.completed () in
@@ -156,19 +166,6 @@ let test_spans_from_domains =
 
 (* ---- jobs-N ≡ jobs-1 for the harness ---- *)
 
-let render_result (r : Harness.result) =
-  let line label (pr : Harness.policy_run) =
-    Printf.sprintf "%-14s %12.0f cycles  %+7.2f%%  L1 %5.2f%%  LLC %7.4f%%  peak %d B"
-      label pr.metrics.M.cycles.total_cycles (Harness.time_delta r pr)
-      (100. *. pr.metrics.M.l1_miss_rate)
-      (100. *. pr.metrics.M.llc_miss_rate)
-      pr.metrics.M.peak_bytes
-  in
-  String.concat "\n"
-    [ line "baseline" r.baseline; line "HDS [8]" r.hds; line "HALO" r.halo;
-      line "PreFix:Hot" r.prefix_hot; line "PreFix:HDS" r.prefix_hds;
-      line "PreFix:HDS+Hot" r.prefix_hdshot ]
-
 let test_harness_jobs_equivalence () =
   let benches = [ "libc"; "swissmap" ] in
   Harness.clear_cache ();
@@ -178,8 +175,8 @@ let test_harness_jobs_equivalence () =
   Harness.clear_cache ();
   List.iter2
     (fun (a : Harness.result) (b : Harness.result) ->
-      check Alcotest.string ("report text " ^ a.wl.name) (render_result a)
-        (render_result b);
+      check Alcotest.string ("report text " ^ a.wl.name) (Durable.render a)
+        (Durable.render b);
       List.iter
         (fun proj ->
           Alcotest.(check bool)
@@ -189,6 +186,7 @@ let test_harness_jobs_equivalence () =
         [ (fun (r : Harness.result) -> r.baseline.metrics);
           (fun r -> r.hds.metrics);
           (fun r -> r.halo.metrics);
+          (fun r -> r.block.metrics);
           (fun r -> r.prefix_hot.metrics);
           (fun r -> r.prefix_hds.metrics);
           (fun r -> r.prefix_hdshot.metrics) ])
@@ -230,7 +228,8 @@ let suite =
         Alcotest.test_case "uneven durations keep order" `Quick
           test_map_uneven_durations;
         Alcotest.test_case "exception propagation" `Quick test_map_exception;
-        Alcotest.test_case "map after shutdown" `Quick test_map_after_shutdown;
+        Alcotest.test_case "no domain below two jobs or items" `Quick
+          test_no_domain_below_two;
         QCheck_alcotest.to_alcotest prop_map_equals_list_map;
         QCheck_alcotest.to_alcotest prop_registry_consistent_concurrent;
         Alcotest.test_case "pool utilization counters" `Quick

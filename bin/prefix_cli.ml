@@ -286,22 +286,17 @@ let trace_cmd =
       | `Text ->
         let shown = match limit with Some l -> min l n | None -> n in
         for i = 0 to shown - 1 do
-          print_endline
-            (Prefix_trace.Serialize.event_to_line (Prefix_trace.Trace.get trace i))
+          print_endline (Prefix_trace.Event.to_line (Prefix_trace.Trace.get trace i))
         done;
         if shown < n then Printf.eprintf "(%d of %d events shown)\n" shown n;
         0
-      | (`Binary | `Columnar) as fmt -> (
+      | `Columnar -> (
         match out with
         | None ->
-          Printf.eprintf "prefix: error: --format %s requires --out FILE\n"
-            (match fmt with `Binary -> "binary" | `Columnar -> "columnar");
+          prerr_endline "prefix: error: --format columnar requires --out FILE";
           2
         | Some path ->
-          (match fmt with
-          | `Binary -> Prefix_trace.Binfmt.write_file_framed path trace
-          | `Columnar ->
-            Prefix_trace.Columnar.write_file path (Prefix_trace.Packed.of_trace trace));
+          Prefix_trace.Columnar.write_file path (Prefix_trace.Packed.of_trace trace);
           Printf.eprintf "%s: %d events, %d bytes\n" path n
             (match Prefix_util.Fsio.read_file path with
             | Ok s -> String.length s
@@ -315,19 +310,17 @@ let trace_cmd =
   in
   let format =
     let doc =
-      "Output format: 'text' dumps one event per line to stdout; 'binary' \
-       writes a framed Binfmt v2 file to --out; 'columnar' writes the \
-       compressed columnar v3 container to --out.  Both binary containers \
-       replay through `--stream` (the reader auto-detects the container)."
+      "Output format: 'text' dumps one event per line to stdout; 'columnar' \
+       writes the columnar v3 container to --out."
     in
     Arg.(value
-         & opt (enum [ ("text", `Text); ("binary", `Binary); ("columnar", `Columnar) ]) `Text
+         & opt (enum [ ("text", `Text); ("columnar", `Columnar) ]) `Text
          & info [ "format" ] ~docv:"FORMAT" ~doc)
   in
   let out =
     Arg.(value
          & opt (some string) None
-         & info [ "out" ] ~docv:"FILE" ~doc:"Output file for the binary formats.")
+         & info [ "out" ] ~docv:"FILE" ~doc:"Output file for the columnar format.")
   in
   Cmd.v (Cmd.info "trace" ~doc:"Generate and dump or convert a workload trace")
     Term.(const run $ bench_arg $ scale_arg $ seed_arg $ limit $ format $ out)

@@ -57,37 +57,39 @@ let delta_for name seed =
   in
   (best, prof, long)
 
+(* One model's row: its three seeds run in one task, so the seed-free
+   comparison holds only that model's first traces. *)
+let row name =
+  (* A model is seed-free when every seed reproduces the first seed's
+     traces; only one seed's traces are kept to compare. *)
+  let d0, prof0, long0 = delta_for name (List.hd seeds) in
+  let rest =
+    List.map
+      (fun seed ->
+        let d, prof, long = delta_for name seed in
+        (d, same_trace prof prof0 && same_trace long long0))
+      (List.tl seeds)
+  in
+  let ds = d0 :: List.map fst rest in
+  let p = Paper_data.find_table3 name in
+  [ name;
+    T.fmt_pct (Prefix_util.Stats.mean ds);
+    T.fmt_pct (List.fold_left min infinity ds);
+    T.fmt_pct (List.fold_left max neg_infinity ds);
+    (* The 3 seeds are a sample of all possible seeds, so the spread
+       uses the n-1 estimator, not the population one. *)
+    T.fmt_f (Prefix_util.Stats.stddev_sample ds);
+    (if List.for_all snd rest then "yes" else "no");
+    T.fmt_pct p.best_pct ]
+
 let report () =
   let t =
     T.create
       ~headers:
         [ "benchmark"; "mean best %"; "min"; "max"; "stddev"; "seed-free"; "paper best %" ]
   in
-  List.iter
-    (fun name ->
-      (* A model is seed-free when every seed reproduces the first
-         seed's traces; only one seed's traces are kept to compare. *)
-      let d0, prof0, long0 = delta_for name (List.hd seeds) in
-      let rest =
-        List.map
-          (fun seed ->
-            let d, prof, long = delta_for name seed in
-            (d, same_trace prof prof0 && same_trace long long0))
-          (List.tl seeds)
-      in
-      let ds = d0 :: List.map fst rest in
-      let p = Paper_data.find_table3 name in
-      T.add_row t
-        [ name;
-          T.fmt_pct (Prefix_util.Stats.mean ds);
-          T.fmt_pct (List.fold_left min infinity ds);
-          T.fmt_pct (List.fold_left max neg_infinity ds);
-          (* The 3 seeds are a sample of all possible seeds, so the
-             spread uses the n-1 estimator, not the population one. *)
-          T.fmt_f (Prefix_util.Stats.stddev_sample ds);
-          (if List.for_all snd rest then "yes" else "no");
-          T.fmt_pct p.best_pct ])
-    benchmarks;
+  List.iter (T.add_row t)
+    (Prefix_parallel.Pool.map ~jobs:(Harness.jobs ()) row benchmarks);
   title ^ "\n" ^ T.render t
   ^ "seed-free: every seed generates the same two traces, so the spread is zero \
      by construction.\n"

@@ -108,11 +108,13 @@ let spool_columnar (wl : Workload.t) ~scale ~segment_events =
   Prefix_trace.Stream.to_columnar_file s path;
   path
 
-(* Degree of parallelism for [run_all]/[run_many]; 1 (the exact legacy
-   sequential path) unless the CLI's --jobs configured otherwise.  A
-   single benchmark always replays on the domain that runs it. *)
-let jobs = ref 1
-let set_jobs n = jobs := max 1 n
+(* Degree of parallelism for [run_all]/[run_many] and the experiments
+   that spread independent benchmarks; 1 (the exact legacy sequential
+   path) unless the CLI's --jobs configured otherwise.  A single
+   benchmark always replays on the domain that runs it. *)
+let jobs_setting = ref 1
+let set_jobs n = jobs_setting := max 1 n
+let jobs () = !jobs_setting
 
 (* The four plans that rest on the profile's OHDS — the three PreFix
    variants and the HDS baseline's — from one detection.  Every one of
@@ -308,7 +310,7 @@ let find name =
 let run_many ?jobs:j names =
   let missing = List.filter (fun n -> not (Hashtbl.mem cache n)) names in
   let rs =
-    Prefix_parallel.Pool.map ~jobs:(Option.value j ~default:!jobs)
+    Prefix_parallel.Pool.map ~jobs:(Option.value j ~default:(jobs ()))
       (fun n -> run_benchmark (Prefix_workloads.Registry.find n))
       missing
   in

@@ -142,10 +142,15 @@ val run_benchmark : Prefix_workloads.Workload.t -> result
 
 val set_jobs : int -> unit
 (** Default [jobs] for {!run_all} / {!run_many} when no explicit
-    [?jobs] is given.  Starts at 1 — the exact legacy sequential path;
-    the CLI's [--jobs] flag lands here.  Values are clamped to [>= 1].
-    It spreads independent benchmarks only: one {!run_benchmark}
-    replays on the domain that calls it, whatever [jobs] is. *)
+    [?jobs] is given, and for the experiments that map over independent
+    benchmarks themselves.  Starts at 1 — the exact legacy sequential
+    path; the CLI's [--jobs] flag lands here.  Values are clamped to
+    [>= 1].  It spreads independent benchmarks only: one
+    {!run_benchmark} replays on the domain that calls it, whatever
+    [jobs] is. *)
+
+val jobs : unit -> int
+(** The {!set_jobs} setting. *)
 
 val run_all : ?jobs:int -> unit -> result list
 (** All 13 benchmarks, memoized for the lifetime of the process.

@@ -1,9 +1,11 @@
+(* The container vocabulary: wire primitives, the framed layout's two
+   walks, and the v1 row encoding that checkpoint identities hash.  The
+   one on-disk container, columnar v3, lives in {!Columnar}. *)
+
 module Crc32 = Prefix_util.Crc32
 module Bigio = Prefix_util.Bigio
 
 let magic = "PFXT"
-let version = 1
-let version_framed = 2
 let frame_marker = "FRME"
 let footer_marker = "FEND"
 let default_frame_events = 1 lsl 16
@@ -42,9 +44,9 @@ let put_u32le buf n =
   Buffer.add_char buf (Char.chr ((n lsr 16) land 0xff));
   Buffer.add_char buf (Char.chr ((n lsr 24) land 0xff))
 
-(* A decode position inside a byte region, bounded by [limit]: every
-   container version is decoded through one, over the mapped file or
-   over a copy of in-memory bytes ({!Bigio.of_bytes}). *)
+(* A decode position inside a byte region, bounded by [limit]: the
+   container is decoded through one, over the mapped file or over a
+   copy of in-memory bytes ({!Bigio.of_bytes}). *)
 type cursor = { big : Bigio.t; mutable pos : int; limit : int }
 
 let cursor big = { big; pos = 0; limit = Bigio.length big }
@@ -85,16 +87,13 @@ let get_u32le c =
     Ok v
   end
 
-(* --- encoding --- *)
+(* --- the v1 row encoding ------------------------------------------------
+
+   One tag byte per event, then its fields as varints, object ids, sites
+   and contexts delta-coded against the previous event.  Nothing decodes
+   it: it is the stable byte image that checkpoint identities hash. *)
 
 type state = { mutable obj : int; mutable site : int; mutable ctx : int }
-
-let fresh_state () = { obj = 0; site = 0; ctx = 0 }
-
-let reset_state st =
-  st.obj <- 0;
-  st.site <- 0;
-  st.ctx <- 0
 
 let encode_event buf st (e : Event.t) =
   match e with
@@ -132,163 +131,17 @@ let encode_event buf st (e : Event.t) =
 
 let write buf trace =
   Buffer.add_string buf magic;
-  put_uvarint buf version;
+  put_uvarint buf 1;
   put_uvarint buf (Trace.length trace);
-  let st = fresh_state () in
+  let st = { obj = 0; site = 0; ctx = 0 } in
   Trace.iter (fun e -> encode_event buf st e) trace
-
-let to_bytes trace =
-  let buf = Buffer.create (Trace.length trace * 5) in
-  write buf trace;
-  Buffer.to_bytes buf
-
-(* --- framed encoding (format v2) --------------------------------------
-
-   The event stream is chunked into frames of [frame_events] events.
-   Each frame carries its own event count, the cumulative event count
-   before it, the payload length and a CRC32 of the payload; the delta
-   state resets at every frame boundary so frames decode independently
-   (which is what lets the lenient reader resynchronize past a corrupt
-   frame without poisoning the rest of the stream).  A footer with
-   frame/event totals (itself checksummed) makes truncation
-   detectable. *)
-
-let write_framed ?(frame_events = default_frame_events) buf trace =
-  if frame_events <= 0 then
-    invalid_arg "Binfmt.write_framed: frame_events must be positive";
-  Buffer.add_string buf magic;
-  put_uvarint buf version_framed;
-  let payload = Buffer.create (min (Trace.length trace) frame_events * 5) in
-  let st = fresh_state () in
-  let in_frame = ref 0 in
-  let cum = ref 0 in
-  let frames = ref 0 in
-  let flush () =
-    if !in_frame > 0 then begin
-      Buffer.add_string buf frame_marker;
-      put_uvarint buf !in_frame;
-      put_uvarint buf !cum;
-      put_uvarint buf (Buffer.length payload);
-      put_u32le buf (Crc32.string (Buffer.contents payload));
-      Buffer.add_buffer buf payload;
-      cum := !cum + !in_frame;
-      incr frames;
-      in_frame := 0;
-      Buffer.clear payload;
-      reset_state st
-    end
-  in
-  Trace.iter
-    (fun e ->
-      encode_event payload st e;
-      incr in_frame;
-      if !in_frame = frame_events then flush ())
-    trace;
-  flush ();
-  let fb = Buffer.create 16 in
-  put_uvarint fb !frames;
-  put_uvarint fb !cum;
-  Buffer.add_string buf footer_marker;
-  Buffer.add_buffer buf fb;
-  put_u32le buf (Crc32.string (Buffer.contents fb))
-
-let to_bytes_framed ?frame_events trace =
-  let buf = Buffer.create (Trace.length trace * 5) in
-  write_framed ?frame_events buf trace;
-  Buffer.to_bytes buf
-
-(* --- decoding --------------------------------------------------------- *)
-
-(* [base] is subtracted from offsets in error strings so v2 payload
-   errors report payload-relative positions; v1 passes [base = 0]
-   (absolute offsets). *)
-let decode_event_big c ~base st =
-  let ( let* ) = Result.bind in
-  if c.pos >= c.limit then Error "truncated stream"
-  else begin
-    let tag = Char.code (Bigio.unsafe_get c.big c.pos) in
-    c.pos <- c.pos + 1;
-    match tag with
-    | 0 ->
-      let* dobj = get_varint c in
-      let* dsite = get_varint c in
-      let* dctx = get_varint c in
-      let* size = get_uvarint c in
-      let* thread = get_uvarint c in
-      st.obj <- st.obj + dobj;
-      st.site <- st.site + dsite;
-      st.ctx <- st.ctx + dctx;
-      Ok (Event.Alloc { obj = st.obj; site = st.site; ctx = st.ctx; size; thread })
-    | 1 | 2 ->
-      let* dobj = get_varint c in
-      let* offset = get_uvarint c in
-      let* thread = get_uvarint c in
-      st.obj <- st.obj + dobj;
-      Ok (Event.Access { obj = st.obj; offset; write = tag = 2; thread })
-    | 3 ->
-      let* dobj = get_varint c in
-      let* thread = get_uvarint c in
-      st.obj <- st.obj + dobj;
-      Ok (Event.Free { obj = st.obj; thread })
-    | 4 ->
-      let* dobj = get_varint c in
-      let* new_size = get_uvarint c in
-      let* thread = get_uvarint c in
-      st.obj <- st.obj + dobj;
-      Ok (Event.Realloc { obj = st.obj; new_size; thread })
-    | 5 ->
-      let* instrs = get_uvarint c in
-      let* thread = get_uvarint c in
-      Ok (Event.Compute { instrs; thread })
-    | t -> Error (Printf.sprintf "unknown tag %d at offset %d" t (c.pos - 1 - base))
-  end
-
-let iter_big_v1 c ~f =
-  let ( let* ) = Result.bind in
-  let* count = get_uvarint c in
-  (* Every encoded event occupies at least one byte; a count beyond the
-     remaining bytes is a corrupted header. *)
-  let* () =
-    if count > c.limit - c.pos then
-      Error
-        (Printf.sprintf "implausible event count %d for %d payload bytes" count
-           (c.limit - c.pos))
-    else Ok ()
-  in
-  let st = fresh_state () in
-  let rec events remaining =
-    if remaining = 0 then Ok ()
-    else
-      let* e = decode_event_big c ~base:0 st in
-      f e;
-      events (remaining - 1)
-  in
-  events count
-
-(* One v2 payload: exactly [events] events filling the [plen] bytes at
-   [pos], delta state fresh. *)
-let decode_frame_events big ~frame_off ~pos ~plen ~events ~f =
-  let ( let* ) = Result.bind in
-  let pc = { big; pos; limit = pos + plen } in
-  let st = fresh_state () in
-  let rec loop n =
-    if n = 0 then
-      if pc.pos = pc.limit then Ok ()
-      else Error (Printf.sprintf "frame payload length mismatch at offset %d" frame_off)
-    else
-      let* e = decode_event_big pc ~base:pos st in
-      f e;
-      loop (n - 1)
-  in
-  loop events
 
 (* --- the framed layout: one strict walk, one lenient walk -------------
 
-   v2 and the columnar v3 of {!Columnar} share everything outside a
-   frame's payload: "FRME" frames (event count, cumulative count,
-   payload length, CRC32 of the payload), then the checksummed "FEND"
-   footer.  Both walks below parse that layout and hand each
-   CRC-verified payload to the format's own decoder. *)
+   Everything outside a frame's payload: "FRME" frames (event count,
+   cumulative count, payload length, CRC32 of the payload), then the
+   checksummed "FEND" footer.  Both walks below parse that layout and
+   hand each CRC-verified payload to {!Columnar}'s decoder. *)
 
 let walk_frames c ~payload =
   let ( let* ) = Result.bind in
@@ -458,7 +311,7 @@ let walk_frames_lenient c ~payload ~keep =
   loop c.pos;
   (List.rev !lost, !ok_frames, !skipped, !total)
 
-(* --- entry points ----------------------------------------------------- *)
+(* --- the header: magic, then the version varint ------------------------- *)
 
 let check_header c =
   let ( let* ) = Result.bind in
@@ -473,83 +326,3 @@ let check_header c =
   in
   get_uvarint c
 
-let big_version big = check_header (cursor big)
-
-let iter_big ?(on_frame = fun () -> ()) big ~f =
-  let ( let* ) = Result.bind in
-  let c = cursor big in
-  let* v = check_header c in
-  if v = version then iter_big_v1 c ~f
-  else if v = version_framed then
-    walk_frames c ~payload:(fun ~frame_off ~pos ~plen ~events ->
-        let* () = decode_frame_events big ~frame_off ~pos ~plen ~events ~f in
-        on_frame ();
-        Ok ())
-  else Error (Printf.sprintf "unsupported version %d" v)
-
-let decode_big big =
-  let trace = Trace.create () in
-  Result.map (fun () -> trace) (iter_big big ~f:(Trace.add trace))
-
-let read data = decode_big (Bigio.of_bytes data)
-
-let read_file path = decode_big (Bigio.load path)
-
-type lenient = {
-  lr_trace : Trace.t;
-  lr_lost : lost_range list;
-  lr_frames_ok : int;
-  lr_frames_skipped : int;
-  lr_total_events : int option;
-}
-
-let lenient_events_lost l =
-  List.fold_left (fun acc r -> acc + (r.lost_to - r.lost_from)) 0 l.lr_lost
-
-let pp_lost_range ppf r =
-  Format.fprintf ppf "events [%d, %d)" r.lost_from r.lost_to
-
-let lenient_big big =
-  let ( let* ) = Result.bind in
-  let c = cursor big in
-  let* v = check_header c in
-  let* () =
-    if v = version_framed then Ok ()
-    else if v = version then Error "lenient decode requires a framed (v2) file"
-    else Error (Printf.sprintf "unsupported version %d" v)
-  in
-  let trace = Trace.create () in
-  let lost, frames_ok, frames_skipped, total =
-    walk_frames_lenient c
-      ~payload:(fun ~frame_off ~pos ~plen ~events ->
-        let acc = ref [] in
-        Result.map
-          (fun () -> List.rev !acc)
-          (decode_frame_events big ~frame_off ~pos ~plen ~events ~f:(fun e ->
-               acc := e :: !acc)))
-      ~keep:(List.iter (Trace.add trace))
-  in
-  Ok
-    { lr_trace = trace;
-      lr_lost = lost;
-      lr_frames_ok = frames_ok;
-      lr_frames_skipped = frames_skipped;
-      lr_total_events = total }
-
-let read_lenient data = lenient_big (Bigio.of_bytes data)
-
-let read_file_lenient path = lenient_big (Bigio.load path)
-
-let write_file path trace =
-  let oc = open_out_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      let buf = Buffer.create (Trace.length trace * 5) in
-      write buf trace;
-      Buffer.output_buffer oc buf)
-
-(* New trace files are framed; written atomically so a crash mid-write
-   never leaves a half-encoded file behind. *)
-let write_file_framed ?frame_events path trace =
-  Prefix_util.Fsio.atomic_write path (fun buf -> write_framed ?frame_events buf trace)

@@ -1,13 +1,10 @@
-(* Columnar compressed trace container (format v3).
+(* Columnar compressed trace container (format v3), the one on-disk
+   trace format.
 
-   Binfmt v2 frames interleave every event's fields, so decoding is an
-   event-at-a-time state machine that boxes an [Event.t] per event.
-   This container keeps the frame/footer machinery of v2 verbatim —
-   same "FRME" header (event count, cumulative count, payload length,
-   CRC32), same checksummed "FEND" footer, parsed by the same strict
-   and lenient walks of {!Binfmt}, so crash safety, strict rejection
-   and lenient marker-resync carry over — but each frame's payload is
-   column-oriented:
+   The file is framed by {!Binfmt}: "PFXT" magic and version, "FRME"
+   frames (event count, cumulative count, payload length, CRC32), a
+   checksummed "FEND" footer, parsed by {!Binfmt}'s strict and lenient
+   walks.  Each frame's payload is column-oriented:
 
      1. tag index        n_runs, then (tag byte, run length) pairs —
                          run-length encoded, and exactly the run
@@ -617,5 +614,3 @@ let lenient_big big =
       cl_total_events = total }
 
 let read_lenient data = lenient_big (Bigio.of_bytes data)
-
-let read_file_lenient path = lenient_big (Bigio.load path)

@@ -1,28 +1,26 @@
-(** Columnar compressed trace container (format v3).
+(** Columnar compressed trace container (format v3) — the one on-disk
+    trace format.
 
-    Same file skeleton as the framed {!Binfmt} v2 — ["PFXT"] magic, a
-    version varint, then CRC32-checksummed ["FRME"] frames and a
-    checksummed ["FEND"] totals footer — but each frame's payload
-    stores the events {e column by column} in the {!Packed.t} layout:
-    a run-length tag index, a sorted dictionary of allocation sites,
-    then one delta/zig-zag-varint (or bit-packed, for access write
-    flags) column per field.  See [doc/columnar.md] for the exact
-    byte layout.
-
-    The frame machinery is shared — both containers are parsed by
+    ["PFXT"] magic and a version varint, then CRC32-checksummed
+    ["FRME"] frames and a checksummed ["FEND"] totals footer, parsed by
     {!Binfmt.walk_frames} and {!Binfmt.walk_frames_lenient} over a
-    {!Prefix_util.Bigio.t} — so crash safety (truncation is detected by
-    the footer), strict rejection of corruption, and marker-resync
-    lenient recovery behave exactly as for v2; and
-    {!Stream.of_binary_file} cuts stream segments at frame boundaries
-    for either container.
+    {!Prefix_util.Bigio.t}: truncation is detected by the footer, the
+    strict reader rejects any corruption, and the lenient reader skips
+    a bad frame by resynchronizing on the next marker.
+    {!Stream.of_binary_file} cuts stream segments at frame boundaries.
+    Each frame's payload stores its events {e column by column} in the
+    {!Packed.t} layout: a run-length tag index, a sorted dictionary of
+    allocation sites, then one delta/zig-zag-varint (or bit-packed, for
+    access write flags) column per field.  See [doc/columnar.md] for
+    the exact byte layout.
 
     The decoder is {e zero-copy} in the sense that no per-event value
     is ever boxed: columns decode straight into flat int arrays that
     are handed to consumers as a {!Packed.t} view, replay-ready.
-    Compared with v2 this removes the per-event [Event.t] allocation
-    and re-packing, and the RLE tag/thread indexes shrink the file
-    (typically well under v2's 3-5 bytes/event). *)
+
+    Every reader refuses any other version, naming it: the v1 row
+    encoding of {!Binfmt.write} and the framed-row v2 files of older
+    releases read as ["unsupported version N (columnar is 3)"]. *)
 
 val version_columnar : int
 (** 3 — the columnar container version (shares {!Binfmt.magic}). *)
@@ -51,11 +49,8 @@ module Writer : sig
       when called twice. *)
 end
 
-val write_buffer : ?frame_events:int -> Buffer.t -> Packed.t -> unit
-(** Whole-trace convenience: header, [frame_events]-sized frames,
-    footer. *)
-
 val to_bytes : ?frame_events:int -> Packed.t -> bytes
+(** Whole-trace encoding: header, [frame_events]-sized frames, footer. *)
 
 val write_file : ?frame_events:int -> string -> Packed.t -> unit
 (** Atomic (temp + rename, via {!Prefix_util.Fsio}) container write. *)
@@ -87,13 +82,12 @@ type lenient = {
 }
 
 val read_lenient : bytes -> (lenient, string) result
-(** Best-effort recovery mirroring {!Binfmt.read_lenient}: corrupt
-    frames are skipped by scanning for the next marker, and cumulative
-    counts pin the exact lost event ranges.  [Error] only when the
-    header itself is unusable. *)
-
-val read_file_lenient : string -> (lenient, string) result
-(** {!read_lenient} over the mapped file. *)
+(** Best-effort recovery: corrupt frames are skipped by scanning for
+    the next marker, and cumulative counts pin the exact lost event
+    ranges.  [Error] only when the header itself is unusable (missing
+    magic, or a version other than 3).  Callers typically hand
+    [Packed.to_trace cl_packed] to {!Sanitizer.sanitize} to repair the
+    dangling frees/accesses the lost ranges leave behind. *)
 
 val lenient_events_lost : lenient -> int
 

@@ -17,6 +17,15 @@ let pp ppf = function
 
 let to_string t = Format.asprintf "%a" pp t
 
+let to_line = function
+  | Alloc { obj; site; ctx; size; thread } ->
+    Printf.sprintf "A %d %d %d %d %d" obj site ctx size thread
+  | Access { obj; offset; write = false; thread } -> Printf.sprintf "L %d %d %d" obj offset thread
+  | Access { obj; offset; write = true; thread } -> Printf.sprintf "S %d %d %d" obj offset thread
+  | Free { obj; thread } -> Printf.sprintf "F %d %d" obj thread
+  | Realloc { obj; new_size; thread } -> Printf.sprintf "R %d %d %d" obj new_size thread
+  | Compute { instrs; thread } -> Printf.sprintf "C %d %d" instrs thread
+
 let thread = function
   | Alloc { thread; _ }
   | Access { thread; _ }

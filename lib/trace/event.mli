@@ -29,6 +29,18 @@ val pp : Format.formatter -> t -> unit
 
 val to_string : t -> string
 
+val to_line : t -> string
+(** The one-line text form [prefix trace] prints:
+
+    {v
+    A <obj> <site> <ctx> <size> <thread>     allocation
+    L <obj> <offset> <thread>                load
+    S <obj> <offset> <thread>                store
+    F <obj> <thread>                         free
+    R <obj> <new_size> <thread>              realloc
+    C <instrs> <thread>                      compute block
+    v} *)
+
 val thread : t -> int
 (** The thread performing the event. *)
 

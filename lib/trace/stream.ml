@@ -55,43 +55,39 @@ let length t =
 let of_trace ?segment_events trace =
   create ?segment_events (fun push -> Trace.iter push trace)
 
+(* Emit [p] as segments of at most [segment_events] events: itself when
+   it fits (no buffer, no copy), else consecutive slices blitted into
+   [buf]. *)
+let emit_sliced ~segment_events buf p emit =
+  let n = Packed.length p in
+  if n <= segment_events then (if n > 0 then emit p)
+  else begin
+    let buf = Lazy.force buf in
+    let pos = ref 0 in
+    while !pos < n do
+      let len = min segment_events (n - !pos) in
+      Packed.Buf.clear buf;
+      Packed.Buf.blit_packed buf p ~pos:!pos ~len;
+      emit (Packed.Buf.view buf);
+      pos := !pos + len
+    done
+  end
+
 (* Already-packed traces are segmented by array blits — the per-event
-   boxing path of [create] is bypassed entirely.  A trace that fits in
-   one segment is emitted as itself: no buffer, no copy. *)
+   boxing path of [create] is bypassed entirely. *)
 let of_packed ?(segment_events = default_segment_events) packed =
   check_segment_events ~who:"Stream.of_packed" segment_events;
   let feed emit =
-    let n = Packed.length packed in
-    if n <= segment_events then (if n > 0 then emit packed)
-    else begin
-      let buf = Packed.Buf.create segment_events in
-      let pos = ref 0 in
-      while !pos < n do
-        let len = min segment_events (n - !pos) in
-        Packed.Buf.clear buf;
-        Packed.Buf.blit_packed buf packed ~pos:!pos ~len;
-        emit (Packed.Buf.view buf);
-        pos := !pos + len
-      done
-    end
+    emit_sliced ~segment_events (lazy (Packed.Buf.create segment_events)) packed emit
   in
   { segment_events; feed }
 
-let of_text_file ?segment_events path =
-  create ?segment_events (fun push ->
-      match Serialize.iter_file path ~f:push with
-      | Ok () -> ()
-      | Error msg -> failwith (path ^ ": " ^ msg))
-
-(* Binary files are decoded frame-aware: for framed (v2 and columnar
-   v3) input the segment is flushed at every frame boundary, so
-   checkpoint boundaries (= segment boundaries) coincide with the
-   file's integrity-check units.  A frame larger than [segment_events]
-   still flushes whenever the buffer fills, so segments never exceed
-   their declared size.  The container is auto-detected from the
-   header: v1/v2 take the event-at-a-time {!Binfmt} decoder, v3 the
-   columnar one — whole decoded frames are blitted into the segment
-   buffer, never boxed per event. *)
+(* Every decoded frame is emitted through [emit_sliced], so each frame
+   boundary is a segment boundary: checkpoint boundaries (= segment
+   boundaries) coincide with the file's integrity-check units, and a
+   frame larger than [segment_events] is sliced.  A frame that fits is
+   the decoder's packed view itself, never copied or boxed per event;
+   like every emitted segment it is only valid during the callback. *)
 let of_binary_file ?(segment_events = default_segment_events) path =
   check_segment_events ~who:"Stream.of_binary_file" segment_events;
   (* The segment buffer, frame-decode scratch and file mapping are
@@ -104,51 +100,11 @@ let of_binary_file ?(segment_events = default_segment_events) path =
   let decoder = lazy (Columnar.decoder_create ()) in
   let big = lazy (Prefix_util.Bigio.load path) in
   let feed emit =
-    let buf = Lazy.force buf in
-    Packed.Buf.clear buf;
-    let flush () =
-      if Packed.Buf.length buf > 0 then begin
-        emit (Packed.Buf.view buf);
-        Packed.Buf.clear buf
-      end
-    in
-    let on_columnar_frame frame =
-      let n = Packed.length frame in
-      if n <= segment_events && Packed.Buf.length buf = 0 then
-        (* Whole frame fits in one segment: hand the decoder's
-           packed view straight through — no copy.  Like every
-           emitted segment it is only valid for the duration of
-           the callback. *)
-        emit frame
-      else begin
-        let pos = ref 0 in
-        while !pos < n do
-          let room = segment_events - Packed.Buf.length buf in
-          let len = min room (n - !pos) in
-          Packed.Buf.blit_packed buf frame ~pos:!pos ~len;
-          pos := !pos + len;
-          if Packed.Buf.is_full buf then flush ()
-        done;
-        flush ()
-      end
-    in
-    let on_event e =
-      Packed.Buf.add buf e;
-      if Packed.Buf.is_full buf then flush ()
-    in
-    let big = Lazy.force big in
-    let columnar =
-      match Binfmt.big_version big with
-      | Ok v -> v = Columnar.version_columnar
-      | Error msg -> failwith (path ^ ": " ^ msg)
-    in
-    let result =
-      if columnar then
-        Columnar.iter_big ~decoder:(Lazy.force decoder) big ~f:on_columnar_frame
-      else Binfmt.iter_big big ~on_frame:flush ~f:on_event
-    in
-    match result with
-    | Ok () -> flush ()
+    match
+      Columnar.iter_big ~decoder:(Lazy.force decoder) (Lazy.force big) ~f:(fun frame ->
+          emit_sliced ~segment_events buf frame emit)
+    with
+    | Ok () -> ()
     | Error msg -> failwith (path ^ ": " ^ msg)
   in
   { segment_events; feed }

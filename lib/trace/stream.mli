@@ -41,29 +41,22 @@ val of_packed : ?segment_events:int -> Packed.t -> t
     emitted as itself (one segment, physically the argument), so a
     one-segment stream replays straight off the packed arrays. *)
 
-val of_text_file : ?segment_events:int -> string -> t
-(** Streams the textual format line by line ({!Serialize}); never holds
-    more than one segment of decoded events.  Iterating raises
-    [Failure "<path>: line N: ..."] on a malformed line and [Sys_error]
-    if the file cannot be opened (checked on each pass). *)
-
 val of_binary_file : ?segment_events:int -> string -> t
-(** Streams a binary trace file through a fixed refill buffer,
-    auto-detecting the container from the header: Binfmt v1/v2 decode
-    event-at-a-time, the columnar v3 container decodes whole frames
-    into flat columns and blits them in — no per-event boxing
-    ({!Columnar}).  For framed input (v2 and v3) a segment is cut at
-    every frame boundary (and whenever the buffer fills), so stream
-    segment boundaries — and therefore checkpoint boundaries —
-    coincide with the file's integrity-check units.
+(** Streams a columnar (v3) container ({!Columnar}): whole frames decode
+    into flat columns and are handed on as segments — no per-event
+    boxing.  A segment is cut at every frame boundary (and whenever the
+    segment buffer fills), so stream segment boundaries — and therefore
+    checkpoint boundaries — coincide with the file's integrity-check
+    units.
 
     The file is mapped once ({!Prefix_util.Bigio.load}) on the first
     pass and decoded straight from the mapping, with no payload copies;
     re-iteration costs no re-read.  A file that cannot be mapped is
     read into memory instead.
 
-    Iterating raises [Failure] on corruption, [Sys_error] on open
-    failure. *)
+    Iterating raises [Failure "<path>: <reason>"] on corruption and on
+    any other container version (["unsupported version 1 (columnar is
+    3)"] for a v1 or v2 file), [Sys_error] on open failure. *)
 
 val to_columnar_file : ?frame_events:int -> t -> string -> unit
 (** Spool the stream into a columnar (v3) container, one frame per

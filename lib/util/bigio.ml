@@ -16,7 +16,7 @@ let length (b : t) = Bigarray.Array1.dim b
 
 let get (b : t) i : char = Bigarray.Array1.get b i
 
-let unsafe_get (b : t) i : char = Bigarray.Array1.unsafe_get b i
+external unsafe_get : t -> int -> char = "%caml_ba_unsafe_ref_1"
 
 let read_into_big fd size : t =
   let big = Bigarray.Array1.create Bigarray.char Bigarray.c_layout size in

@@ -26,7 +26,10 @@ val length : t -> int
 val get : t -> int -> char
 (** Bounds-checked. *)
 
-val unsafe_get : t -> int -> char
+external unsafe_get : t -> int -> char = "%caml_ba_unsafe_ref_1"
+(** Unchecked read, declared as the compiler primitive so that every
+    call (the decoder's per-byte read) compiles inline, across modules
+    built [-opaque]. *)
 
 val sub_string : t -> pos:int -> len:int -> string
 (** Raises [Invalid_argument] when the slice is out of bounds. *)

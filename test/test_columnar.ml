@@ -9,9 +9,9 @@
      every injector fault kind, and strict-raise parity;
    - corruption: the strict reader rejects (never raises on) byte
      flips and truncations; the lenient reader pins the exact lost
-     event range, mirroring the Binfmt v2 guarantees;
-   - [Stream.of_binary_file] auto-detects the v3 container and cuts
-     segments at frame boundaries. *)
+     event range; a v2 file is refused;
+   - [Stream.of_binary_file] reads the v3 container and cuts segments
+     at frame boundaries. *)
 
 open Prefix_trace
 module Executor = Prefix_runtime.Executor
@@ -121,13 +121,13 @@ let prop_roundtrip_soup =
       | Ok p -> Packed.to_trace p |> Trace.to_list = es
       | Error _ -> false)
 
-let test_compact_vs_v2 () =
+let test_compact_vs_rows () =
   let trace = workload_trace () in
-  let v2 = Bytes.length (Binfmt.to_bytes_framed trace) in
+  let rows = Bytes.length (Golden_decode.v1_file trace) in
   let v3 = Bytes.length (Columnar.to_bytes (Packed.of_trace trace)) in
   Alcotest.(check bool)
-    (Printf.sprintf "columnar (%d B) smaller than v2 framed (%d B)" v3 v2)
-    true (v3 < v2)
+    (Printf.sprintf "columnar (%d B) smaller than the v1 rows (%d B)" v3 rows)
+    true (v3 < rows)
 
 (* ---- replay equivalence over the file path ---- *)
 
@@ -307,10 +307,8 @@ let test_lenient_truncation () =
       (Packed.length l.Columnar.cl_packed > 0)
 
 let test_rejects_v2_version () =
-  (* A v2 file is not a columnar container (and vice versa the version
-     sniff in [Stream.of_binary_file] routes each to its decoder). *)
-  let trace = workload_trace () in
-  match Columnar.read (Binfmt.to_bytes_framed trace) with
+  (* A v2 file shares the magic and the framing but not the payload. *)
+  match Columnar.read (Golden_decode.v2_file ()) with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "columnar reader accepted a v2 file"
 
@@ -321,8 +319,8 @@ let test_stream_of_binary_file_frame_boundaries () =
   let total = Trace.length trace in
   let frame_events = 512 in
   with_columnar_file ~frame_events (Packed.of_trace trace) (fun path ->
-      Alcotest.(check (result int string)) "version sniff" (Ok 3)
-        (Binfmt.big_version (Prefix_util.Bigio.load path));
+      Alcotest.(check (result int string)) "version" (Ok 3)
+        (Binfmt.check_header (Binfmt.cursor (Prefix_util.Bigio.load path)));
       let stream = Stream.of_binary_file ~segment_events:frame_events path in
       let seen = ref 0 in
       Stream.iter_segments stream (fun ~base seg ->
@@ -355,7 +353,7 @@ let suite =
           test_roundtrip_corrupted_every_kind;
         Alcotest.test_case "roundtrips int extremes" `Quick test_roundtrip_int_extremes;
         QCheck_alcotest.to_alcotest prop_roundtrip_soup;
-        Alcotest.test_case "smaller than v2" `Quick test_compact_vs_v2;
+        Alcotest.test_case "smaller than the v1 rows" `Quick test_compact_vs_rows;
         Alcotest.test_case "rejects v2 input" `Quick test_rejects_v2_version ] );
     ( "columnar-replay",
       [ Alcotest.test_case "streamed replay ≡ packed, strict" `Quick

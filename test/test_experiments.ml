@@ -75,7 +75,8 @@ let test_report_registry () =
 
 (* The stability table marks a model seed-free when its traces do not
    depend on the seed; mcf's and leela's generators draw no random
-   numbers, the other three do. *)
+   numbers, the other three do.  The table is the same bytes whether
+   its models run one after another or across two domains. *)
 let test_stability_seed_free () =
   let module S = Prefix_experiments.Exp_stability in
   let gen name seed =
@@ -88,7 +89,13 @@ let test_stability_seed_free () =
         (List.for_all
            (fun seed -> S.same_trace (gen name seed) (gen name (List.hd S.seeds)))
            (List.tl S.seeds)))
-    [ ("mcf", true); ("ft", false); ("health", false); ("leela", true); ("analyzer", false) ]
+    [ ("mcf", true); ("ft", false); ("health", false); ("leela", true); ("analyzer", false) ];
+  let at jobs =
+    let saved = H.jobs () in
+    H.set_jobs jobs;
+    Fun.protect ~finally:(fun () -> H.set_jobs saved) S.report
+  in
+  Alcotest.(check string) "--jobs 2 table" (at 1) (at 2)
 
 let suite =
   [ ( "experiments",

@@ -67,8 +67,8 @@ let test_deterministic () =
       let t2 = w.generate ~scale:Workload.Profiling ~seed:7 () in
       Alcotest.(check int) (w.name ^ " same length") (Trace.length t1) (Trace.length t2);
       Alcotest.(check string) (w.name ^ " same content")
-        (Prefix_trace.Serialize.event_to_line (Trace.get t1 (Trace.length t1 / 2)))
-        (Prefix_trace.Serialize.event_to_line (Trace.get t2 (Trace.length t2 / 2))))
+        (Prefix_trace.Event.to_line (Trace.get t1 (Trace.length t1 / 2)))
+        (Prefix_trace.Event.to_line (Trace.get t2 (Trace.length t2 / 2))))
     Registry.all
 
 let test_scales_differ () =

@@ -4,9 +4,10 @@
      files yield the empty region, slicing is bounds-checked (also
      against slices whose end wraps around);
    - the one decoder: a golden corpus pins every strict, [read] and
-     lenient outcome on clean, truncated and byte-flipped v1/v2/v3
-     containers, and [Stream.of_binary_file] segments concatenate to
-     the trace and cut at every frame boundary;
+     lenient outcome on clean, truncated and byte-flipped containers,
+     every reader refuses v1 and v2 files naming their version, and
+     [Stream.of_binary_file] segments concatenate to the trace and cut
+     at every frame boundary;
    - fan-out equivalence: a fan-out of N policies
      ([Executor.run_stream_many]) matches N fan-outs of one
      outcome-for-outcome. *)
@@ -37,7 +38,7 @@ let with_file data k =
 (* ---- Bigio ---- *)
 
 let test_bigio_load_equivalence () =
-  let data = Binfmt.to_bytes_framed (workload_trace ()) in
+  let data = Columnar.to_bytes (Packed.of_trace (workload_trace ())) in
   with_file data (fun path ->
       let mapped = Bigio.load path in
       let copied = Bigio.load ~mmap:false path in
@@ -99,18 +100,40 @@ let test_golden_decode () =
       | _ -> ())
     rows
 
-let test_big_version () =
-  let trace = workload_trace () in
+let contains s sub =
+  let n = String.length s and m = String.length sub in
+  let rec at i = i + m <= n && (String.sub s i m = sub || at (i + 1)) in
+  at 0
+
+(* A file of a retired version, or an empty one, is refused by every
+   reader with its reason: [Error] from [read] and [read_lenient], a
+   [Failure] naming the path from the stream, and nothing else. *)
+let test_old_files_refused () =
   List.iter
-    (fun (what, data, version) ->
+    (fun (what, data, reason) ->
+      (match Columnar.read data with
+      | Error e -> Alcotest.(check string) (what ^ ": read") reason e
+      | Ok _ -> Alcotest.failf "%s: read accepted" what
+      | exception e -> Alcotest.failf "%s: read raised %s" what (Printexc.to_string e));
+      (match Columnar.read_lenient data with
+      | Error e -> Alcotest.(check string) (what ^ ": read_lenient") reason e
+      | Ok _ -> Alcotest.failf "%s: read_lenient accepted" what
+      | exception e ->
+        Alcotest.failf "%s: read_lenient raised %s" what (Printexc.to_string e));
       with_file data (fun path ->
-          Alcotest.(check (result int string)) what (Ok version)
-            (Binfmt.big_version (Bigio.load path))))
-    [ ("v1", Binfmt.to_bytes trace, Binfmt.version);
-      ("v2", Binfmt.to_bytes_framed trace, Binfmt.version_framed);
-      ( "v3",
-        Columnar.to_bytes (Packed.of_trace trace),
-        Columnar.version_columnar ) ]
+          match Stream.length (Stream.of_binary_file path) with
+          | _ -> Alcotest.failf "%s: the stream accepted" what
+          | exception Failure m ->
+            Alcotest.(check bool) (what ^ ": names the path: " ^ m) true (contains m path);
+            Alcotest.(check bool) (what ^ ": gives the reason: " ^ m) true
+              (contains m reason)
+          | exception e ->
+            Alcotest.failf "%s: the stream raised %s" what (Printexc.to_string e)))
+    [ ( "v1",
+        Golden_decode.v1_file (workload_trace ()),
+        "unsupported version 1 (columnar is 3)" );
+      ("v2", Golden_decode.v2_file (), "unsupported version 2 (columnar is 3)");
+      ("empty", Bytes.empty, "empty or truncated file (offset 0)") ]
 
 let soup_gen =
   QCheck.Gen.(
@@ -135,55 +158,25 @@ let soup_gen =
     in
     list_size (int_range 0 300) ev)
 
-(* The v2 writer encodes ids/sizes as unsigned varints, so feed it
-   non-negative soup (the signed extremes are covered by the columnar
-   round-trip tests). *)
-let unsigned_soup_gen =
-  QCheck.Gen.(
-    let ev =
-      oneof
-        [ (fun st ->
-            (Event.Alloc
-               { obj = int_range 0 50 st; site = int_range 0 5 st;
-                 ctx = int_range 0 5 st; size = int_range 1 200 st;
-                 thread = int_range 0 2 st } : Event.t));
-          (fun st ->
-            Event.Access
-              { obj = int_range 0 50 st; offset = int_range 0 200 st;
-                write = bool st; thread = int_range 0 2 st });
-          (fun st -> Event.Free { obj = int_range 0 50 st; thread = int_range 0 2 st });
-          (fun st ->
-            Event.Realloc
-              { obj = int_range 0 50 st; new_size = int_range 1 200 st;
-                thread = int_range 0 2 st });
-          (fun st ->
-            Event.Compute { instrs = int_range 0 100 st; thread = int_range 0 2 st }) ]
-    in
-    list_size (int_range 0 300) ev)
-
 (* [of_binary_file]'s segmentation contract on 48-event frames read as
    64-event segments: the segments concatenate to the trace, none
    exceeds its declared size, and every frame boundary is a cut. *)
 let prop_stream_segments =
   QCheck.Test.make
-    ~name:"of_binary_file segments the trace at frame cuts (v2 and v3)" ~count:120
-    (QCheck.make unsigned_soup_gen)
+    ~name:"of_binary_file segments the trace at frame cuts" ~count:120
+    (QCheck.make soup_gen)
     (fun es ->
       let trace = Trace.of_list es in
       let frame_starts = List.init ((List.length es + 47) / 48) (fun k -> 48 * k) in
-      let ok data =
-        with_file data (fun path ->
-            let segs = ref [] in
-            Stream.iter_segments (Stream.of_binary_file ~segment_events:64 path)
-              (fun ~base seg -> segs := (base, Trace.to_list (Packed.to_trace seg)) :: !segs);
-            let segs = List.rev !segs in
-            let bases = List.map fst segs in
-            List.concat_map snd segs = es
-            && List.for_all (fun (_, seg) -> List.length seg <= 64) segs
-            && List.for_all (fun b -> List.mem b bases) frame_starts)
-      in
-      ok (Binfmt.to_bytes_framed ~frame_events:48 trace)
-      && ok (Columnar.to_bytes ~frame_events:48 (Packed.of_trace trace)))
+      with_file (Columnar.to_bytes ~frame_events:48 (Packed.of_trace trace)) (fun path ->
+          let segs = ref [] in
+          Stream.iter_segments (Stream.of_binary_file ~segment_events:64 path)
+            (fun ~base seg -> segs := (base, Trace.to_list (Packed.to_trace seg)) :: !segs);
+          let segs = List.rev !segs in
+          let bases = List.map fst segs in
+          List.concat_map snd segs = es
+          && List.for_all (fun (_, seg) -> List.length seg <= 64) segs
+          && List.for_all (fun b -> List.mem b bases) frame_starts))
 
 (* ---- fan-out equivalence ---- *)
 
@@ -260,8 +253,8 @@ let suite =
           test_bigio_missing_file ] );
     ( "mmap-decode",
       [ Alcotest.test_case "golden decode corpus" `Quick test_golden_decode;
-        Alcotest.test_case "big_version sniffs every container" `Quick
-          test_big_version;
+        Alcotest.test_case "v1, v2 and empty files are refused loudly" `Quick
+          test_old_files_refused;
         QCheck_alcotest.to_alcotest prop_stream_segments ] );
     ( "replay-pipeline",
       [ Alcotest.test_case "run_stream_many ≡ per-policy fan-outs of one" `Quick

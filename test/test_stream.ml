@@ -7,7 +7,7 @@
    - Trace_stats.analyze_stream ≡ Trace_stats.analyze_packed;
    - Detector over a stream ≡ Detector over the materialized trace;
    - Workload.generate_stream ≡ Workload.generate, for all 13 models;
-   - the streaming text/binary file decoders round-trip.
+   - the streaming container decoder round-trips.
 
    Streams are exercised with deliberately small, non-power-of-two
    segment sizes so every property crosses segment boundaries. *)
@@ -17,8 +17,7 @@ module Event = Prefix_trace.Event
 module Packed = Prefix_trace.Packed
 module Stream = Prefix_trace.Stream
 module Trace_stats = Prefix_trace.Trace_stats
-module Serialize = Prefix_trace.Serialize
-module Binfmt = Prefix_trace.Binfmt
+module Columnar = Prefix_trace.Columnar
 module Executor = Prefix_runtime.Executor
 module Policy = Prefix_runtime.Policy
 module Detector = Prefix_hds.Detector
@@ -306,48 +305,21 @@ let with_temp_file suffix body =
   let path = Filename.temp_file "prefix_stream" suffix in
   Fun.protect ~finally:(fun () -> Sys.remove path) (fun () -> body path)
 
-let test_text_file_stream () =
-  let trace = workload_trace () in
-  with_temp_file ".txt" @@ fun path ->
-  let oc = open_out path in
-  Serialize.write oc trace;
-  close_out oc;
-  let stream = Stream.of_text_file ~segment_events:seg path in
-  Alcotest.(check bool) "text round-trip" true
-    (Trace.to_list (Stream.to_trace stream) = Trace.to_list trace)
-
-let test_text_file_stream_error () =
-  with_temp_file ".txt" @@ fun path ->
-  let oc = open_out path in
-  output_string oc "# ok\nC 10 0\nnot an event\n";
-  close_out oc;
-  let stream = Stream.of_text_file path in
-  match Stream.length stream with
-  | _ -> Alcotest.fail "accepted a malformed line"
-  | exception Failure msg ->
-    Alcotest.(check bool) ("error carries file and line: " ^ msg) true
-      (let has needle =
-         let nl = String.length needle and ml = String.length msg in
-         let rec go i = i + nl <= ml && (String.sub msg i nl = needle || go (i + 1)) in
-         go 0
-       in
-       has path && has "line 3")
-
 let test_binary_file_stream () =
   let trace = workload_trace () in
-  with_temp_file ".bin" @@ fun path ->
-  Binfmt.write_file path trace;
+  with_temp_file ".pfxt" @@ fun path ->
+  Columnar.write_file path (Packed.of_trace trace);
   let stream = Stream.of_binary_file ~segment_events:seg path in
   Alcotest.(check bool) "binary round-trip" true
     (Trace.to_list (Stream.to_trace stream) = Trace.to_list trace);
   (* The whole-file reader must agree with the stream. *)
-  let via_read = Result.get_ok (Binfmt.read_file path) in
-  Alcotest.(check int) "lengths agree" (Trace.length via_read) (Stream.length stream)
+  let via_read = Result.get_ok (Columnar.read_file path) in
+  Alcotest.(check int) "lengths agree" (Packed.length via_read) (Stream.length stream)
 
 let test_binary_file_stream_truncated () =
   let trace = workload_trace () in
-  with_temp_file ".bin" @@ fun path ->
-  Binfmt.write_file path trace;
+  with_temp_file ".pfxt" @@ fun path ->
+  Columnar.write_file path (Packed.of_trace trace);
   let full = In_channel.with_open_bin path In_channel.input_all in
   let oc = open_out_bin path in
   output_string oc (String.sub full 0 (String.length full - 7));
@@ -376,7 +348,5 @@ let suite =
           test_generate_stream_all_workloads;
         Alcotest.test_case "generate_stream threaded" `Quick test_generate_stream_threaded;
         Alcotest.test_case "huge tier" `Quick test_huge_tier;
-        Alcotest.test_case "text file stream" `Quick test_text_file_stream;
-        Alcotest.test_case "text file error" `Quick test_text_file_stream_error;
         Alcotest.test_case "binary file stream" `Quick test_binary_file_stream;
         Alcotest.test_case "binary truncated" `Quick test_binary_file_stream_truncated ] ) ]

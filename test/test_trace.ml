@@ -1,4 +1,4 @@
-(* Tests for Prefix_trace: Event, Trace, Trace_stats, Serialize. *)
+(* Tests for Prefix_trace: Event, Trace, Packed, Trace_stats. *)
 
 open Prefix_trace
 
@@ -88,47 +88,19 @@ let test_validate_realloc_before_alloc () =
   | [ v ] -> Alcotest.failf "wrong kind: %a" Trace.pp_violation v
   | vs -> Alcotest.failf "expected 1 violation, got %d" (List.length vs)
 
-(* ---- Serialize ---- *)
+(* ---- Event text lines ---- *)
 
-let test_serialize_roundtrip () =
-  let t = valid_trace () in
-  match Serialize.of_string (Serialize.to_string t) with
-  | Error e -> Alcotest.fail e
-  | Ok t' ->
-    Alcotest.(check int) "length" (Trace.length t) (Trace.length t');
-    List.iter2
-      (fun a b ->
-        Alcotest.(check string) "event" (Event.to_string a) (Event.to_string b))
-      (Trace.to_list t) (Trace.to_list t')
-
-let test_serialize_comments () =
-  match Serialize.of_string "# comment\n\nC 5 0\n" with
-  | Ok t -> Alcotest.(check int) "one event" 1 (Trace.length t)
-  | Error e -> Alcotest.fail e
-
-let test_serialize_malformed () =
-  (match Serialize.of_string "X 1 2\n" with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "accepted bad tag");
-  match Serialize.of_string "A 1 x 3 4 5\n" with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "accepted bad int"
-
-let event_gen =
-  QCheck.Gen.(
-    oneof
-      [ map2 (fun o s -> al 0 o s 32) (int_range 1 50) (int_range 1 9);
-        map (fun i -> cp (i + 1)) (int_range 0 1000) ])
-
-let prop_serialize_roundtrip =
-  QCheck.Test.make ~name:"serialize roundtrips arbitrary events" ~count:200
-    (QCheck.make QCheck.Gen.(list_size (int_range 0 50) event_gen))
-    (fun es ->
-      (* Allocations may repeat ids; serialization does not care. *)
-      let t = Trace.of_list es in
-      match Serialize.of_string (Serialize.to_string t) with
-      | Ok t' -> Trace.to_list t' = es
-      | Error _ -> false)
+(* [prefix trace] prints one [Event.to_line] per event. *)
+let test_event_lines () =
+  Alcotest.(check (list string)) "one line per constructor"
+    [ "A 1 2 3 32 0"; "L 1 8 0"; "S 1 16 2"; "R 1 64 0"; "F 1 0"; "C 7 1" ]
+    (List.map Event.to_line
+       [ Event.Alloc { obj = 1; site = 2; ctx = 3; size = 32; thread = 0 };
+         Event.Access { obj = 1; offset = 8; write = false; thread = 0 };
+         Event.Access { obj = 1; offset = 16; write = true; thread = 2 };
+         Event.Realloc { obj = 1; new_size = 64; thread = 0 };
+         Event.Free { obj = 1; thread = 0 };
+         Event.Compute { instrs = 7; thread = 1 } ])
 
 (* ---- Packed (struct-of-arrays) ---- *)
 
@@ -333,52 +305,6 @@ let test_stats_reused_id () =
   Alcotest.(check int) "well-formed traces report none" 0
     (Trace_stats.reused_ids (Trace_stats.analyze (valid_trace ())))
 
-(* ---- regressions: line-by-line deserialization ---- *)
-
-let with_temp_file body =
-  let path = Filename.temp_file "prefix_serialize" ".txt" in
-  Fun.protect ~finally:(fun () -> Sys.remove path) (fun () -> body path)
-
-let test_serialize_error_line_numbers () =
-  (* Blank lines and comments still count toward the reported (1-based)
-     line number of the first malformed line. *)
-  with_temp_file @@ fun path ->
-  let oc = open_out path in
-  output_string oc "# header\n\nC 10 0\nL 1 -3 0\n";
-  close_out oc;
-  let ic = open_in path in
-  Fun.protect ~finally:(fun () -> close_in_noerr ic) @@ fun () ->
-  match Serialize.read ic with
-  | Ok _ -> Alcotest.fail "accepted a negative offset"
-  | Error msg ->
-    Alcotest.(check bool) ("names line 4: " ^ msg) true
-      (String.length msg >= 7 && String.sub msg 0 7 = "line 4:")
-
-let test_serialize_read_streams () =
-  (* [read] used to slurp the entire channel into a string list before
-     parsing anything.  With a malformed first line it must now stop
-     after that line: allocation stays flat instead of growing with the
-     ~100k lines that follow. *)
-  with_temp_file @@ fun path ->
-  let oc = open_out path in
-  output_string oc "garbage\n";
-  for _ = 1 to 100_000 do
-    output_string oc "C 10 0\n"
-  done;
-  close_out oc;
-  let ic = open_in path in
-  Fun.protect ~finally:(fun () -> close_in_noerr ic) @@ fun () ->
-  let before = Gc.minor_words () in
-  (match Serialize.read ic with
-  | Ok _ -> Alcotest.fail "accepted garbage"
-  | Error msg ->
-    Alcotest.(check bool) "fails on line 1" true
-      (String.length msg >= 7 && String.sub msg 0 7 = "line 1:"));
-  let words = Gc.minor_words () -. before in
-  Alcotest.(check bool)
-    (Printf.sprintf "bounded allocation (%.0f words)" words)
-    true (words < 100_000.)
-
 let suite =
   [ ( "trace",
       [ Alcotest.test_case "add/get" `Quick test_add_get;
@@ -397,13 +323,7 @@ let suite =
         Alcotest.test_case "of_list empty" `Quick test_of_list_empty;
         Alcotest.test_case "append empty" `Quick test_append_empty;
         Alcotest.test_case "filter edges" `Quick test_filter_all_out;
-        Alcotest.test_case "serialize roundtrip" `Quick test_serialize_roundtrip;
-        Alcotest.test_case "serialize comments" `Quick test_serialize_comments;
-        Alcotest.test_case "serialize malformed" `Quick test_serialize_malformed;
-        Alcotest.test_case "serialize error line numbers" `Quick
-          test_serialize_error_line_numbers;
-        Alcotest.test_case "serialize read streams" `Quick test_serialize_read_streams;
-        QCheck_alcotest.to_alcotest prop_serialize_roundtrip ] );
+        Alcotest.test_case "event text lines" `Quick test_event_lines ] );
     ( "packed",
       [ Alcotest.test_case "roundtrip" `Quick test_packed_roundtrip_basic;
         Alcotest.test_case "get" `Quick test_packed_get;

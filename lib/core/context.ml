@@ -3,8 +3,16 @@ type pattern =
   | Regular of { start : int; step : int; count : int }
   | Fixed of int list
 
+let rec strictly_ascending = function
+  | a :: (b :: _ as rest) -> a < b && strictly_ascending rest
+  | _ -> true
+
 let infer ~hot_instances ~total_instances =
-  let ids = List.sort_uniq compare hot_instances in
+  (* Counter simulation numbers hot ids in ascending order already. *)
+  let ids =
+    if strictly_ascending hot_instances then hot_instances
+    else List.sort_uniq Int.compare hot_instances
+  in
   (match ids with [] -> invalid_arg "Context.infer: no hot instances" | _ -> ());
   List.iter
     (fun i ->
@@ -15,15 +23,13 @@ let infer ~hot_instances ~total_instances =
   if n = total_instances then All { upto = Some total_instances }
   else
     match ids with
-    | a :: b :: _ when n >= 3 ->
+    | a :: (b :: _ as rest) when n >= 3 ->
       let step = b - a in
-      let arithmetic =
-        step > 0
-        && fst
-             (List.fold_left
-                (fun (ok, prev) x -> (ok && x - prev = step, x))
-                (true, a - step) ids)
+      let rec evenly prev = function
+        | x :: rest -> x - prev = step && evenly x rest
+        | [] -> true
       in
+      let arithmetic = step > 0 && evenly a rest in
       (* A contiguous run (step 1) is reported as a fixed set, matching the
          paper's Table 2 labelling (mcf's {1,2,3} is "fixed ids"); Regular
          is reserved for genuinely strided progressions such as the odd

@@ -39,23 +39,23 @@ let reconstitute ohds =
   let entries : entry list ref = ref [] in
   (* [entries] is kept in insertion order (head = oldest) via append. *)
   let singletons = ref [] in
-  let all_objs () =
-    List.fold_left (fun acc e -> IntSet.union acc e.set) IntSet.empty !entries
-  in
+  (* Every object of [entries]: grown as streams are included or merged. *)
+  let placed = ref IntSet.empty in
   List.iter
     (fun current ->
       let cset = Hds.obj_set current in
-      let placed = all_objs () in
-      let remaining = Hds.diff_objs current placed in
+      let remaining = Hds.diff_objs current !placed in
       if remaining = [] then () (* fully represented already: nothing to do *)
-      else if IntSet.is_empty (IntSet.inter cset placed) then
+      else if IntSet.disjoint cset !placed then begin
         (* Unchanged inclusion. *)
         entries :=
           !entries
           @ [ { objs = Hds.objs current;
                 set = cset;
                 merged = false;
-                refs = Hds.refs current } ]
+                refs = Hds.refs current } ];
+        placed := IntSet.union !placed cset
+      end
       else begin
         (* Shares objects with RHDS: try to merge the remainder into the
            first not-yet-merged stream that shares an object. *)
@@ -67,7 +67,9 @@ let reconstitute ohds =
               e.merged <- true;
               let shared = IntSet.inter cset e.set in
               e.objs <- merge_orders e.objs remaining shared;
-              e.set <- IntSet.union e.set (IntSet.of_list remaining);
+              let added = IntSet.of_list remaining in
+              e.set <- IntSet.union e.set added;
+              placed := IntSet.union !placed added;
               done_ := true
             end)
           !entries;
@@ -75,18 +77,16 @@ let reconstitute ohds =
           match remaining with
           | [ single ] -> singletons := !singletons @ [ single ]
           | _ :: _ :: _ ->
+            let set = IntSet.of_list remaining in
             entries :=
-              !entries
-              @ [ { objs = remaining;
-                    set = IntSet.of_list remaining;
-                    merged = false;
-                    refs = Hds.refs current } ]
+              !entries @ [ { objs = remaining; set; merged = false; refs = Hds.refs current } ];
+            placed := IntSet.union !placed set
           | [] -> assert false
         end
       end)
     ohds;
   let rhds = List.map (fun e -> Hds.make ~objs:e.objs ~refs:e.refs) !entries in
-  let covered = all_objs () in
+  let covered = !placed in
   let coverage =
     List.map
       (fun h ->

@@ -1,7 +1,8 @@
 type slot = { offset : int; size : int }
 
 type t = {
-  slots : slot list; (* reversed during construction? no — kept forward *)
+  rev_slots : slot list; (* placement order, last slot first *)
+  count : int;
   index : (int, int) Hashtbl.t; (* obj -> slot index *)
   total : int;
 }
@@ -12,43 +13,32 @@ let round_up n = (n + align - 1) / align * align
 
 let assign ~size_of order =
   let index = Hashtbl.create (List.length order) in
-  let slots, total =
-    List.fold_left
-      (fun (acc, off) obj ->
-        if Hashtbl.mem index obj then invalid_arg "Offsets.assign: duplicate object";
-        let size = size_of obj in
-        if size <= 0 then invalid_arg "Offsets.assign: non-positive size";
-        let size = round_up size in
-        Hashtbl.replace index obj (List.length acc);
-        ({ offset = off; size } :: acc, off + size))
-      ([], 0) order
-  in
-  { slots = List.rev slots; index; total }
+  let rev_slots = ref [] and count = ref 0 and total = ref 0 in
+  List.iter
+    (fun obj ->
+      if Hashtbl.mem index obj then invalid_arg "Offsets.assign: duplicate object";
+      let size = size_of obj in
+      if size <= 0 then invalid_arg "Offsets.assign: non-positive size";
+      let size = round_up size in
+      Hashtbl.replace index obj !count;
+      rev_slots := { offset = !total; size } :: !rev_slots;
+      incr count;
+      total := !total + size)
+    order;
+  { rev_slots = !rev_slots; count = !count; index; total = !total }
 
-let slots t = t.slots
+let slots t = List.rev t.rev_slots
 
 let slot_of_obj t obj = Hashtbl.find_opt t.index obj
 
 let region_bytes t = t.total
 
-let truncate t ~max_bytes =
-  let kept = ref [] in
-  let total = ref 0 in
-  List.iter
-    (fun s ->
-      if s.offset + s.size <= max_bytes then begin
-        kept := s :: !kept;
-        total := s.offset + s.size
-      end)
-    t.slots;
-  let n_kept = List.length !kept in
-  let index = Hashtbl.create n_kept in
-  Hashtbl.iter (fun obj i -> if i < n_kept then Hashtbl.replace index obj i) t.index;
-  { slots = List.rev !kept; index; total = !total }
-
 let extend t ~count ~size =
   if count <= 0 || size <= 0 then invalid_arg "Offsets.extend: bad geometry";
   let size = round_up size in
-  let first = List.length t.slots in
-  let extra = List.init count (fun i -> { offset = t.total + (i * size); size }) in
-  ({ t with slots = t.slots @ extra; total = t.total + (count * size) }, first)
+  let rev_slots = ref t.rev_slots in
+  for i = 0 to count - 1 do
+    rev_slots := { offset = t.total + (i * size); size } :: !rev_slots
+  done;
+  ( { t with rev_slots = !rev_slots; count = t.count + count; total = t.total + (count * size) },
+    t.count )

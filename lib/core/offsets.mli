@@ -22,11 +22,6 @@ val slot_of_obj : t -> int -> int option
 val region_bytes : t -> int
 (** Total bytes of the packed region. *)
 
-val truncate : t -> max_bytes:int -> t
-(** Drop trailing slots (the coldest placements) until the region fits
-    in [max_bytes] — the paper's "controlled by limiting the size of
-    the preallocated memory". *)
-
 val extend : t -> count:int -> size:int -> t * int
 (** [extend t ~count ~size] appends [count] uniform slots of [size]
     bytes (a recycling block) and returns the new mapping plus the

@@ -42,30 +42,31 @@ let default_config =
     hybrid_context = false;
     lifetime_arenas = false }
 
-let dedup_keep_first objs =
-  let seen = Hashtbl.create 64 in
-  List.filter
-    (fun o ->
-      if Hashtbl.mem seen o then false
-      else begin
-        Hashtbl.replace seen o ();
-        true
-      end)
-    objs
-
 (* Sites whose profiled allocations are (almost) all hot are handled as
    "all ids" sites: every allocation is of interest, which is what makes
    both bulk placement (health) and recycling (swissmap, leela) work. *)
-let promoted_sites cfg stats hot_set =
-  Trace_stats.sites stats
-  |> List.filter_map (fun (s : Trace_stats.site_info) ->
-         if s.alloc_count < cfg.promote_site_min_allocs then None
-         else begin
-           let hot = List.length (List.filter (fun o -> Hashtbl.mem hot_set o) s.site_objects) in
-           if float_of_int hot >= cfg.promote_site_threshold *. float_of_int s.alloc_count
-           then Some s.site_id
-           else None
-         end)
+let promoted_sites cfg sites hot_set =
+  List.filter_map
+    (fun (s : Trace_stats.site_info) ->
+      if s.alloc_count < cfg.promote_site_min_allocs then None
+      else begin
+        let hot =
+          List.fold_left (fun n o -> if Hashtbl.mem hot_set o then n + 1 else n) 0 s.site_objects
+        in
+        if float_of_int hot >= cfg.promote_site_threshold *. float_of_int s.alloc_count
+        then Some s.site_id
+        else None
+      end)
+    sites
+
+(* [objs] stably sorted by the allocation index of each id's latest
+   incarnation: one table lookup per object, then an int sort. *)
+let alloc_order stats objs =
+  let objs = Array.of_list objs in
+  let keys = Array.map (fun o -> (Trace_stats.obj_info stats o).alloc_index) objs in
+  let perm = Array.init (Array.length objs) Fun.id in
+  Array.stable_sort (fun i j -> Int.compare keys.(i) keys.(j)) perm;
+  Array.fold_right (fun i acc -> objs.(i) :: acc) perm []
 
 let plan_with_stats ?(config = default_config) ?ohds ~variant stats trace =
   Span.with_ ~cat:"pipeline"
@@ -99,28 +100,28 @@ let plan_with_stats ?(config = default_config) ?ohds ~variant stats trace =
   let hds_objs = List.concat_map Hds.objs layout.rhds in
   let hds_set = Hashtbl.create 64 in
   List.iter (fun o -> Hashtbl.replace hds_set o ()) hds_objs;
-  (* Placement order per variant. *)
-  let alloc_order objs =
-    List.sort
-      (fun a b ->
-        compare (Trace_stats.obj_info stats a).alloc_index
-          (Trace_stats.obj_info stats b).alloc_index)
-      objs
+  let hot_in_alloc_order =
+    alloc_order stats (List.map (fun (o : Trace_stats.obj_info) -> o.obj) hot_infos)
   in
-  let hot_in_alloc_order = alloc_order (List.map (fun (o : Trace_stats.obj_info) -> o.obj) hot_infos) in
-  let base_order =
+  (* Placement order per variant: its base objects, then the objects of
+     promoted sites that are not among them. *)
+  let base, in_base =
     match (variant : Plan.variant) with
-    | Hot -> hot_in_alloc_order
-    | Hds -> hds_objs
+    | Hot -> ([ hot_in_alloc_order ], Hashtbl.mem hot_set)
+    | Hds -> ([ hds_objs ], Hashtbl.mem hds_set)
     | HdsHot ->
-      hds_objs @ alloc_order (List.filter (fun o -> not (Hashtbl.mem hds_set o)) hot_in_alloc_order)
+      ([ hds_objs; hot_in_alloc_order ], fun o -> Hashtbl.mem hds_set o || Hashtbl.mem hot_set o)
+  in
+  let all_sites = Trace_stats.sites stats in
+  let recycling sites =
+    if cfg.recycling then Recycle.analyze ~config:cfg.recycle_config stats ~sites else None
   in
   (* Site promotion: append any not-yet-placed objects of promoted sites.
      The PreFix:HDS variant only places stream objects, so promoted sites
      join it solely when they are recyclable (recycling is orthogonal to
      the layout variants; without it the recycling benchmarks would lose
      their win in exactly one variant, which is not what §3.3 reports). *)
-  let promoted = promoted_sites cfg stats hot_set in
+  let promoted = promoted_sites cfg all_sites hot_set in
   let promoted =
     match (variant : Plan.variant) with
     | Hot | HdsHot -> promoted
@@ -128,52 +129,49 @@ let plan_with_stats ?(config = default_config) ?ohds ~variant stats trace =
       (* A site qualifies if it recycles alone or as part of the whole
          promoted set (tandem sites only clear the minimum-allocation
          threshold together). *)
-      let group_recycles =
-        cfg.recycling
-        && promoted <> []
-        && Recycle.analyze ~config:cfg.recycle_config stats ~sites:promoted <> None
-      in
-      List.filter
-        (fun site ->
-          cfg.recycling
-          && (group_recycles
-             || Recycle.analyze ~config:cfg.recycle_config stats ~sites:[ site ] <> None))
-        promoted
+      let group_recycles = promoted <> [] && recycling promoted <> None in
+      List.filter (fun site -> group_recycles || recycling [ site ] <> None) promoted
   in
   let promoted_objs =
     List.concat_map
-      (fun site -> (Trace_stats.site_info stats site).site_objects)
+      (fun site ->
+        List.filter (fun o -> not (in_base o)) (Trace_stats.site_info stats site).site_objects)
       promoted
-    |> alloc_order
+    |> alloc_order stats
   in
-  let order = dedup_keep_first (base_order @ promoted_objs) in
-  (* Enforce the prealloc cap before any further decisions. *)
   let size_of obj =
     let info = Trace_stats.obj_info stats obj in
     max info.size info.alloc_size
   in
-  let order =
-    match cfg.max_prealloc_bytes with
-    | None -> order
-    | Some cap ->
-      let total = ref 0 in
-      List.filter
-        (fun o ->
-          let s = (size_of o + 15) / 16 * 16 in
-          if !total + s <= cap then begin
-            total := !total + s;
-            true
-          end
-          else false)
-        order
+  (* Each object once, in that order, under the prealloc cap: an object
+     that no longer fits is skipped (a later, smaller one may still fit;
+     a later duplicate of it cannot, as the total only grows). *)
+  let candidates = base @ [ promoted_objs ] in
+  let placed_set =
+    Hashtbl.create (List.fold_left (fun n l -> n + List.length l) 0 candidates)
   in
-  let placed_set = Hashtbl.create (List.length order) in
-  List.iter (fun o -> Hashtbl.replace placed_set o ()) order;
-  (* Instrumented sites and counter groups. *)
-  let sites =
-    Trace_stats.sites stats
-    |> List.filter (fun (s : Trace_stats.site_info) ->
-           List.exists (fun o -> Hashtbl.mem placed_set o) s.site_objects)
+  let total = ref 0 in
+  let fits o =
+    match cfg.max_prealloc_bytes with
+    | None -> true
+    | Some cap ->
+      let s = (size_of o + 15) / 16 * 16 in
+      if !total + s > cap then false
+      else begin
+        total := !total + s;
+        true
+      end
+  in
+  let order =
+    List.rev
+      (List.fold_left
+         (List.fold_left (fun acc o ->
+              if Hashtbl.mem placed_set o || not (fits o) then acc
+              else begin
+                Hashtbl.replace placed_set o ();
+                o :: acc
+              end))
+         [] candidates)
   in
   (* The hybrid mechanism (§2.2.2): a site whose hot objects all carry
      one call-stack signature — while its other allocations do not — can
@@ -189,71 +187,68 @@ let plan_with_stats ?(config = default_config) ?ohds ~variant stats trace =
           (fun (i : Trace_stats.obj_info) ->
             if Hashtbl.mem placed_set i.obj then Some i.ctx else None)
           infos
-        |> List.sort_uniq compare
+        |> List.sort_uniq Int.compare
       in
       let all_ctxs =
-        List.map (fun (i : Trace_stats.obj_info) -> i.ctx) infos |> List.sort_uniq compare
+        List.map (fun (i : Trace_stats.obj_info) -> i.ctx) infos |> List.sort_uniq Int.compare
       in
       match hot_ctxs with
       | [ c ] when List.length all_ctxs > 1 -> Some c
       | _ -> None
     end
   in
-  let site_hybrid = List.map (fun s -> (s.Trace_stats.site_id, hybrid_ctx_of_site s)) sites in
-  let site_allocs =
-    List.map
+  (* Instrumented sites, each with the signature its counter is gated on. *)
+  let sites =
+    List.filter_map
       (fun (s : Trace_stats.site_info) ->
-        let required = List.assoc s.site_id site_hybrid in
-        let objects =
-          match required with
-          | None -> s.site_objects
-          | Some c ->
-            (* Only the gated signature's allocations advance the counter. *)
-            List.filter
-              (fun o -> (Trace_stats.obj_info stats o).ctx = c)
-              s.site_objects
-        in
-        { Counters.site = s.site_id;
-          allocs =
-            List.map
-              (fun o ->
-                let info = Trace_stats.obj_info stats o in
-                { Counters.pos = info.alloc_index; obj = o; hot = Hashtbl.mem placed_set o })
-              objects })
-      sites
+        if List.exists (fun o -> Hashtbl.mem placed_set o) s.site_objects then
+          Some (s, hybrid_ctx_of_site s)
+        else None)
+      all_sites
   in
-  (* Sites gated on different signatures must not share a counter: gate
-     compatibility is part of sharing viability, enforced by pre-grouping. *)
-  let hybrid_sites, plain_sites =
-    List.partition
-      (fun (sa : Counters.site_allocs) -> List.assoc sa.site site_hybrid <> None)
-      site_allocs
+  let site_allocs ((s : Trace_stats.site_info), required) =
+    let objects =
+      match required with
+      | None -> s.site_objects
+      | Some c ->
+        (* Only the gated signature's allocations advance the counter. *)
+        List.filter (fun o -> (Trace_stats.obj_info stats o).ctx = c) s.site_objects
+    in
+    { Counters.site = s.site_id;
+      allocs =
+        List.map
+          (fun o ->
+            let info = Trace_stats.obj_info stats o in
+            { Counters.pos = info.alloc_index; obj = o; hot = Hashtbl.mem placed_set o })
+          objects }
   in
+  (* Counter groups, each with its gate and its recycling decision.
+     Sites gated on different signatures must not share a counter: gate
+     compatibility is part of sharing viability, enforced by
+     pre-grouping. *)
+  let hybrid_sites, plain_sites = List.partition (fun (_, required) -> required <> None) sites in
   let groups =
-    let plain = Counters.share ~enable:cfg.counter_sharing plain_sites in
+    let plain =
+      Counters.share ~enable:cfg.counter_sharing (List.map site_allocs plain_sites)
+    in
     let base = List.length plain in
     let hybrid =
       List.mapi
-        (fun i sa ->
-          match Counters.share ~enable:false [ sa ] with
-          | [ g ] -> { g with Counters.counter = base + i }
+        (fun i ((_, required) as site) ->
+          match Counters.share ~enable:false [ site_allocs site ] with
+          | [ g ] -> ({ g with Counters.counter = base + i }, required)
           | _ -> assert false)
         hybrid_sites
     in
-    plain @ hybrid
+    (* Recycling decisions: only for all-ids groups. *)
+    List.map (fun g -> (g, None)) plain @ hybrid
+    |> List.map (fun ((g : Counters.group), required_ctx) ->
+           let r = match g.pattern with Context.All _ -> recycling g.sites | _ -> None in
+           (g, required_ctx, r))
   in
-  (* Recycling decisions: only for all-ids groups. *)
-  let recycling_of_group (g : Counters.group) =
-    if not cfg.recycling then None
-    else
-      match g.pattern with
-      | Context.All _ -> Recycle.analyze ~config:cfg.recycle_config stats ~sites:g.sites
-      | _ -> None
-  in
-  let group_recycle = List.map (fun g -> (g, recycling_of_group g)) groups in
   let recycled_objs = Hashtbl.create 64 in
   List.iter
-    (fun ((g : Counters.group), r) ->
+    (fun ((g : Counters.group), _, r) ->
       if r <> None then
         List.iter
           (fun site ->
@@ -261,7 +256,7 @@ let plan_with_stats ?(config = default_config) ?ohds ~variant stats trace =
               (fun o -> Hashtbl.replace recycled_objs o ())
               (Trace_stats.site_info stats site).site_objects)
           g.sites)
-    group_recycle;
+    groups;
   let direct_order = List.filter (fun o -> not (Hashtbl.mem recycled_objs o)) order in
   (* Future-work extension: segregate the region by lifetime class so
      one class's deaths free a contiguous span (several arenas in one). *)
@@ -276,61 +271,49 @@ let plan_with_stats ?(config = default_config) ?ohds ~variant stats trace =
   let profile_intervals =
     lazy (stage "liveness-intervals" (fun () -> Intervals.of_trace trace))
   in
-  let hybrid_ctx_of_group (g : Counters.group) =
-    match g.sites with
-    | [ s ] -> Option.join (List.assoc_opt s site_hybrid)
-    | _ -> None
-  in
   (* Offsets: direct placements first, then one block per recycled group. *)
-  let offsets, recycle_blocks =
+  let offsets, blocks =
     stage "offset-assignment" (fun () ->
         let offsets = ref (Offsets.assign ~size_of direct_order) in
-        let recycle_blocks =
-          List.filter_map
-            (fun ((g : Counters.group), r) ->
-              match r with
-              | None -> None
-              | Some (d : Recycle.decision) ->
-                let off, first =
-                  Offsets.extend !offsets ~count:d.n_slots ~size:d.slot_bytes
-                in
-                offsets := off;
-                let assignment =
-                  match cfg.slot_mode with
-                  | Modulo -> []
-                  | Interval ->
-                    Intervals.slot_assignment (Lazy.force profile_intervals)
-                      ~sites:g.sites ?required_ctx:(hybrid_ctx_of_group g)
-                      ~n_slots:d.n_slots ()
-                in
-                Some
-                  ( g.counter,
+        let blocks =
+          List.map
+            (fun ((g : Counters.group), required_ctx, r) ->
+              let block =
+                Option.map
+                  (fun (d : Recycle.decision) ->
+                    let off, first = Offsets.extend !offsets ~count:d.n_slots ~size:d.slot_bytes in
+                    offsets := off;
+                    let assignment =
+                      match cfg.slot_mode with
+                      | Modulo -> []
+                      | Interval ->
+                        Intervals.slot_assignment (Lazy.force profile_intervals)
+                          ~sites:g.sites ?required_ctx ~n_slots:d.n_slots ()
+                    in
                     { Plan.first_slot = first;
                       n_slots = d.n_slots;
                       slot_bytes = d.slot_bytes;
-                      assignment } ))
-            group_recycle
+                      assignment })
+                  r
+              in
+              (g, required_ctx, block))
+            groups
         in
-        (!offsets, recycle_blocks))
+        (!offsets, blocks))
   in
   stage "plan"
   @@ fun () ->
   (* Counter plans. *)
   let counters =
     List.map
-      (fun (g : Counters.group) ->
-        let required_ctx =
-          match g.sites with
-          | [ s ] -> Option.join (List.assoc_opt s site_hybrid)
-          | _ -> None
-        in
-        match List.assoc_opt g.counter recycle_blocks with
-        | Some block ->
+      (fun ((g : Counters.group), required_ctx, block) ->
+        match block with
+        | Some _ ->
           { Plan.counter = g.counter;
             counter_sites = g.sites;
             pattern = Context.All { upto = None };
             placements = [];
-            recycle = Some block;
+            recycle = block;
             required_ctx }
         | None ->
           let placements =
@@ -347,19 +330,23 @@ let plan_with_stats ?(config = default_config) ?ohds ~variant stats trace =
             placements;
             recycle = None;
             required_ctx })
-      groups
+      blocks
   in
   let site_counter =
-    List.concat_map (fun (g : Counters.group) -> List.map (fun s -> (s, g.counter)) g.sites) groups
+    List.concat_map
+      (fun ((g : Counters.group), _, _) -> List.map (fun s -> (s, g.counter)) g.sites)
+      groups
   in
-  (* Profile summary for Table 5. *)
+  (* Profile summary for Table 5: the placed objects and the recycled
+     ones, each once. *)
   let captured =
-    order @ Hashtbl.fold (fun o () acc -> o :: acc) recycled_objs []
-    |> dedup_keep_first
+    Hashtbl.fold
+      (fun o () acc -> if Hashtbl.mem placed_set o then acc else o :: acc)
+      recycled_objs order
   in
   let profile =
     { Plan.hot_count = List.length captured;
-      hds_count = List.length (List.filter (fun o -> Hashtbl.mem hds_set o) captured);
+      hds_count = List.fold_left (fun n o -> if Hashtbl.mem hds_set o then n + 1 else n) 0 captured;
       heap_access_share = Trace_stats.heap_access_share stats captured;
       ohds_count = List.length ohds;
       rhds_count = List.length layout.rhds }

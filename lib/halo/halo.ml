@@ -26,19 +26,23 @@ let hot_contexts config stats =
   |> List.map fst
 
 (* Int-keyed table for pair ticks; a pair (a, b) of hot-context ranks,
-   a < b, is the key a * n + b over n hot contexts. *)
+   a < b, is the key a * n + b over n hot contexts.  The keys are small
+   and dense, so each is its own hash. *)
 module Pairs = Hashtbl.Make (struct
   type t = int
 
   let equal = Int.equal
-  let hash = Hashtbl.hash
+  let hash k = k
 end)
 
 (* Affinity: sliding window over the heap-access stream; every pair of hot
    contexts co-occurring within the window gets a tick.  Normalised by the
    smaller context's access count.  Contexts are handled by their rank in
    [hot_ctxs]: the window is a ring of ranks, per-context access counts
-   an array, and the tick table grows with the pairs seen. *)
+   an array, and the tick table grows with the pairs seen.  Beside the
+   ring, [in_window] counts each rank's occurrences in it and [present]
+   lists the ranks it holds, so an access adds one tick count per
+   distinct rank in the window instead of one tick per window slot. *)
 let affinity config stats trace hot_ctxs =
   let n = Array.length hot_ctxs in
   let rank_of_ctx = Hashtbl.create 64 in
@@ -55,27 +59,50 @@ let affinity config stats trace hot_ctxs =
   let cap = max 0 config.affinity_window in
   let window = Array.make cap 0 in
   let filled = ref 0 and next = ref 0 in
+  let in_window = Array.make n 0 in
+  (* [present.(0 .. n_present - 1)] are the ranks with a nonzero
+     [in_window] count; [slot.(r)] is rank [r]'s index there. *)
+  let present = Array.make (min n cap) 0 and n_present = ref 0 in
+  let slot = Array.make n 0 in
+  let enter r =
+    if in_window.(r) = 0 then begin
+      present.(!n_present) <- r;
+      slot.(r) <- !n_present;
+      incr n_present
+    end;
+    in_window.(r) <- in_window.(r) + 1
+  in
+  let leave r =
+    in_window.(r) <- in_window.(r) - 1;
+    if in_window.(r) = 0 then begin
+      decr n_present;
+      let last = present.(!n_present) in
+      present.(slot.(r)) <- last;
+      slot.(last) <- slot.(r)
+    end
+  in
   Trace.iter
     (fun e ->
       match (e : Event.t) with
       | Access { obj; _ } -> (
-        match Hashtbl.find_opt rank_of_obj obj with
-        | None -> ()
-        | Some r ->
+        match Hashtbl.find rank_of_obj obj with
+        | exception Not_found -> ()
+        | r ->
           accesses.(r) <- accesses.(r) + 1;
-          for w = 0 to !filled - 1 do
-            let other = window.(w) in
+          for p = 0 to !n_present - 1 do
+            let other = present.(p) in
             if other <> r then begin
               let key = if r < other then (r * n) + other else (other * n) + r in
               match Pairs.find ticks key with
-              | t -> incr t
-              | exception Not_found -> Pairs.add ticks key (ref 1)
+              | t -> t := !t + in_window.(other)
+              | exception Not_found -> Pairs.add ticks key (ref in_window.(other))
             end
           done;
           if cap > 0 then begin
+            if !filled = cap then leave window.(!next) else incr filled;
             window.(!next) <- r;
-            next := (!next + 1) mod cap;
-            if !filled < cap then incr filled
+            enter r;
+            next := (!next + 1) mod cap
           end)
       | _ -> ())
     trace;

@@ -2,11 +2,11 @@ type obj_info = {
   obj : int;
   site : int;
   ctx : int;
-  size : int;
+  mutable size : int;
   alloc_size : int;
-  accesses : int;
+  mutable accesses : int;
   alloc_index : int;
-  free_index : int option;
+  mutable free_index : int option;
   instance : int;
 }
 
@@ -20,6 +20,7 @@ type site_info = {
 type t = {
   objs : (int, obj_info) Hashtbl.t; (* current (latest) incarnation per id *)
   all_objects : obj_info list; (* every incarnation, allocation order *)
+  by_accesses : obj_info array; (* the same, most accessed first, ties in allocation order *)
   site_tbl : (int, site_info) Hashtbl.t;
   site_members : (int, obj_info list) Hashtbl.t; (* per-incarnation, alloc order *)
   total_accesses : int;
@@ -85,38 +86,40 @@ let feed c ~base packed =
       if c.c_live > c.c_max_live then c.c_max_live <- c.c_live)
     ~access:(fun _ ~obj ~offset:_ ~write:_ ~thread:_ ->
       c.c_total_accesses <- c.c_total_accesses + 1;
-      match Hashtbl.find_opt c_objs obj with
-      | None -> ()
-      | Some info -> Hashtbl.replace c_objs obj { info with accesses = info.accesses + 1 })
+      match Hashtbl.find c_objs obj with
+      | info -> info.accesses <- info.accesses + 1
+      | exception Not_found -> ())
     ~free:(fun index ~obj ~thread:_ ->
       let index = base + index in
-      match Hashtbl.find_opt c_objs obj with
-      | None -> ()
-      | Some info ->
+      match Hashtbl.find c_objs obj with
+      | info ->
         (* Only the first Free ends the lifetime; a duplicate free (which
            lenient replay tolerates) must not drive [live] negative. *)
         if info.free_index = None then begin
-          Hashtbl.replace c_objs obj { info with free_index = Some index };
+          info.free_index <- Some index;
           c.c_live <- c.c_live - 1
-        end)
+        end
+      | exception Not_found -> ())
     ~realloc:(fun _ ~obj ~new_size ~thread:_ ->
-      match Hashtbl.find_opt c_objs obj with
-      | None -> ()
-      | Some info -> Hashtbl.replace c_objs obj { info with size = new_size })
+      match Hashtbl.find c_objs obj with
+      | info -> info.size <- new_size
+      | exception Not_found -> ())
     packed;
   c.c_len <- c.c_len + Packed.length packed
 
 let finish c =
   let current = Hashtbl.fold (fun _ info acc -> info :: acc) c.c_objs [] in
-  let all_objects =
-    List.sort (fun a b -> compare a.alloc_index b.alloc_index) (c.c_archived @ current)
-  in
+  let by_alloc = Array.of_list (c.c_archived @ current) in
+  Array.stable_sort (fun a b -> Int.compare a.alloc_index b.alloc_index) by_alloc;
+  let all_objects = Array.to_list by_alloc in
+  let by_accesses = Array.copy by_alloc in
+  Array.stable_sort (fun a b -> Int.compare b.accesses a.accesses) by_accesses;
   let site_members = Hashtbl.create 64 in
-  List.iter
-    (fun info ->
-      Hashtbl.replace site_members info.site
-        (info :: Option.value ~default:[] (Hashtbl.find_opt site_members info.site)))
-    (List.rev all_objects);
+  for i = Array.length by_alloc - 1 downto 0 do
+    let info = by_alloc.(i) in
+    Hashtbl.replace site_members info.site
+      (info :: Option.value ~default:[] (Hashtbl.find_opt site_members info.site))
+  done;
   let site_tbl = Hashtbl.create 64 in
   Hashtbl.iter
     (fun site_id alloc_count ->
@@ -133,6 +136,7 @@ let finish c =
     c.c_site_counts;
   { objs = c.c_objs;
     all_objects;
+    by_accesses;
     site_tbl;
     site_members;
     total_accesses = c.c_total_accesses;
@@ -156,10 +160,7 @@ let analyze_stream stream =
 
 let objects t = t.all_objects
 
-let obj_info t obj =
-  match Hashtbl.find_opt t.objs obj with
-  | Some info -> info
-  | None -> raise Not_found
+let obj_info t obj = Hashtbl.find t.objs obj
 
 let sites t =
   Hashtbl.fold (fun _ s acc -> s :: acc) t.site_tbl []
@@ -169,6 +170,8 @@ let site_info t site =
   match Hashtbl.find_opt t.site_tbl site with
   | Some s -> s
   | None -> raise Not_found
+
+let site_members t site = Option.value ~default:[] (Hashtbl.find_opt t.site_members site)
 
 let total_heap_accesses t = t.total_accesses
 
@@ -199,20 +202,20 @@ let max_live_objects_of_site t site =
       events;
     !best
 
+(* A prefix of [by_accesses]: the objects accessed at least
+   [min_accesses] times come first there, already in order. *)
 let hot_objects ?(coverage = 0.9) ?(min_accesses = 4) t =
-  let all =
-    objects t
-    |> List.filter (fun o -> o.accesses >= max 1 min_accesses)
-    |> List.sort (fun a b -> compare b.accesses a.accesses)
-  in
+  let min_accesses = max 1 min_accesses in
   let target = coverage *. float_of_int t.total_accesses in
-  let rec take acc covered = function
-    | [] -> List.rev acc
-    | o :: rest ->
-      if covered >= target then List.rev acc
-      else take (o :: acc) (covered +. float_of_int o.accesses) rest
+  let rec take acc covered i =
+    if i = Array.length t.by_accesses then List.rev acc
+    else begin
+      let o = t.by_accesses.(i) in
+      if o.accesses < min_accesses || covered >= target then List.rev acc
+      else take (o :: acc) (covered +. float_of_int o.accesses) (i + 1)
+    end
   in
-  take [] 0. all
+  take [] 0. 0
 
 let heap_access_share t objs =
   if t.total_accesses = 0 then 0.

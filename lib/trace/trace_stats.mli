@@ -6,17 +6,23 @@
     every static site the ordered list of dynamic instances it produced.
     Hot-object selection (the basis of the paper's Figure 1) lives here. *)
 
-type obj_info = {
+type obj_info = private {
   obj : int;  (** dynamic object id *)
   site : int;  (** static malloc site *)
   ctx : int;  (** call-stack signature (HALO-style) *)
-  size : int;  (** final size after any reallocs *)
+  mutable size : int;  (** final size after any reallocs *)
   alloc_size : int;  (** size at allocation *)
-  accesses : int;  (** number of Access events *)
+  mutable accesses : int;  (** number of Access events *)
   alloc_index : int;  (** trace position of the Alloc event *)
-  free_index : int option;  (** trace position of the Free event, if freed *)
+  mutable free_index : int option;  (** trace position of the Free event, if freed *)
   instance : int;  (** 1-based dynamic allocation instance within [site] *)
 }
+(** Read-only outside this module.  The three mutable fields are
+    written only by {!feed}, in place, as the collector consumes Access,
+    Free and Realloc events (no record is copied per event); they are
+    final once {!finish} has run.  The record layout is that of an
+    immutable record of the same fields, so a marshaled {!collector}
+    keeps its bytes. *)
 
 type site_info = {
   site_id : int;
@@ -54,6 +60,10 @@ val sites : t -> site_info list
 (** All static sites, ascending by id. *)
 
 val site_info : t -> int -> site_info
+
+val site_members : t -> int -> obj_info list
+(** Every incarnation allocated at a site, in allocation order ([[]]
+    for an unknown site) — {!objects} restricted to one site. *)
 
 val total_heap_accesses : t -> int
 

@@ -230,12 +230,6 @@ let test_offsets_duplicate () =
   Alcotest.check_raises "dup" (Invalid_argument "Offsets.assign: duplicate object")
     (fun () -> ignore (Offsets.assign ~size_of:(fun _ -> 16) [ 1; 1 ]))
 
-let test_offsets_truncate () =
-  let o = Offsets.assign ~size_of:(fun _ -> 32) [ 1; 2; 3; 4 ] in
-  let o = Offsets.truncate o ~max_bytes:70 in
-  Alcotest.(check int) "kept two" 2 (List.length (Offsets.slots o));
-  Alcotest.(check (option int)) "third dropped" None (Offsets.slot_of_obj o 3)
-
 let test_offsets_extend () =
   let o = Offsets.assign ~size_of:(fun _ -> 32) [ 1 ] in
   let o, first = Offsets.extend o ~count:3 ~size:64 in
@@ -461,7 +455,6 @@ let suite =
     ( "offsets",
       [ Alcotest.test_case "assign" `Quick test_offsets_assign;
         Alcotest.test_case "duplicate" `Quick test_offsets_duplicate;
-        Alcotest.test_case "truncate" `Quick test_offsets_truncate;
         Alcotest.test_case "extend" `Quick test_offsets_extend ] );
     ( "recycle",
       [ Alcotest.test_case "accepts churn" `Quick test_recycle_accepts_churn;

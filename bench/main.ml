@@ -83,7 +83,7 @@ let paired ~reps ~events leg =
 
 (* Long-scale traces: each timed replay runs ~10^2 ms, long enough that
    container noise stays small next to the work being gated. *)
-let long_packed name =
+let long_trace name =
   let wl = Prefix_workloads.Registry.find name in
   Packed.of_trace (wl.generate ~scale:Long ~seed:8 ())
 
@@ -95,9 +95,11 @@ let baseline heap = Policy.baseline Executor.default_config.costs heap
 let recorder_reps = 8
 
 let recorder_row name =
-  let packed = long_packed name in
+  let packed = long_trace name in
   let events = Packed.length packed in
-  let replay () = ignore (Executor.run_packed ~policy:baseline packed) in
+  (* One segment: the replay loop runs straight off the packed arrays. *)
+  let stream = Stream.of_packed ~segment_events:(max 1 events) packed in
+  let replay () = ignore (Executor.run_stream_many ~policies:[ baseline ] stream) in
   Prefix_obs.Control.set true;
   let overhead, off_rate, on_rate =
     paired ~reps:recorder_reps ~events (fun on ->
@@ -119,7 +121,7 @@ let segment_events = 8192
 let every = 4
 
 let checkpoint_row ~dir name =
-  let packed = long_packed name in
+  let packed = long_trace name in
   let path = Filename.concat dir (name ^ ".ckpt") in
   let now_ms () = Int64.to_float (Clock.now_ns ()) /. 1e6 in
   let saves = ref 0 in

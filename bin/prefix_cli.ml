@@ -730,23 +730,27 @@ let hotspots_cmd =
     match get_workload name with
     | Error e -> prerr_endline e; 1
     | Ok w ->
-      let trace = w.generate ~scale:Workload.Long ~seed:8 () in
       let prof = w.generate ~scale:Workload.Profiling ~seed:7 () in
       let stats = Trace_stats.analyze prof in
       let plan = Pipeline.plan_with_stats ~config:Harness.pipeline_config
           ~variant:Plan.HdsHot stats prof in
       let costs = Prefix_runtime.Executor.default_config.costs in
-      let run_with label policy =
-        let o = Prefix_runtime.Executor.run ~attribute:true ~policy trace in
-        Printf.printf "--- %s: top allocation sites by L1 misses ---\n" label;
-        match o.Prefix_runtime.Executor.attribution with
-        | Some a -> print_string (Prefix_runtime.Attribution.render ~n:8 a)
-        | None -> ()
+      let outcomes =
+        Prefix_runtime.Executor.run_stream_many ~attribute:true
+          ~policies:
+            [ Prefix_runtime.Policy.baseline costs;
+              (fun heap ->
+                Prefix_runtime.Prefix_policy.policy costs heap plan
+                  Prefix_runtime.Policy.no_classification) ]
+          (Workload.generate_stream w ~scale:Workload.Long ~seed:8 ())
       in
-      run_with "baseline" (fun heap -> Prefix_runtime.Policy.baseline costs heap);
-      run_with "PreFix" (fun heap ->
-          Prefix_runtime.Prefix_policy.policy costs heap plan
-            Prefix_runtime.Policy.no_classification);
+      List.iter2
+        (fun label (o : Prefix_runtime.Executor.outcome) ->
+          Printf.printf "--- %s: top allocation sites by L1 misses ---\n" label;
+          Option.iter
+            (fun a -> print_string (Prefix_runtime.Attribution.render ~n:8 a))
+            o.attribution)
+        [ "baseline"; "PreFix" ] outcomes;
       0
   in
   Cmd.v

@@ -26,6 +26,7 @@ module Workload = Prefix_workloads.Workload
 module Checkpoint = Prefix_runtime.Checkpoint
 module Durable = Prefix_experiments.Durable
 module Executor = Prefix_runtime.Executor
+module Policy = Prefix_runtime.Policy
 
 let failures = ref 0
 
@@ -86,9 +87,14 @@ let () =
   Printf.printf
     "sanitizer: %d dropped, %d synthesized, %d rewritten -> strict replay: "
     report.dropped report.synthesized report.rewritten;
-  let outcome = Executor.run_baseline repaired in
-  Printf.printf "%.0f cycles, no exceptions\n"
-    outcome.metrics.cycles.total_cycles;
+  (match
+     Executor.run_stream_many
+       ~policies:[ Policy.baseline Executor.default_config.costs ]
+       (Prefix_trace.Stream.of_trace repaired)
+   with
+  | [ outcome ] ->
+    Printf.printf "%.0f cycles, no exceptions\n" outcome.metrics.cycles.total_cycles
+  | _ -> assert false);
 
   (* --- Act 3: kill a durable run, then resume it ------------------- *)
   let cfg dir =

@@ -54,13 +54,15 @@ let capture_stats plan trace =
     (fun (o : Prefix_trace.Trace_stats.obj_info) -> Hashtbl.replace hot_set o.obj ())
     hot;
   let cls = { Policy.is_hot = Hashtbl.mem hot_set; is_hds = (fun _ -> false) } in
-  let outcome =
-    Executor.run
-      ~policy:(fun heap ->
-        Prefix_runtime.Prefix_policy.policy Executor.default_config.costs heap plan cls)
-      trace
-  in
-  (outcome.metrics.region_hot_objects, outcome.metrics.region_objects)
+  match
+    Executor.run_stream_many
+      ~policies:
+        [ (fun heap ->
+            Prefix_runtime.Prefix_policy.policy Executor.default_config.costs heap plan cls) ]
+      (Prefix_trace.Stream.of_trace trace)
+  with
+  | [ outcome ] -> (outcome.metrics.region_hot_objects, outcome.metrics.region_objects)
+  | _ -> assert false
 
 let () =
   let training = server ~arrival_seed:1 () in

@@ -52,17 +52,25 @@ let () =
         Context.pp cp.pattern)
     plan.counters;
 
-  (* --- Evaluation on the long input. *)
-  let long = wl.generate ~scale:Workload.Long ~seed:8 () in
+  (* --- Evaluation on the long input: the baseline and the three
+     optimizations replay in one pass over the generated stream. *)
   let costs = Executor.default_config.costs in
-  let base = Executor.run_baseline long in
-  let delta m = Prefix_runtime.Metrics.time_pct_change ~baseline:base.metrics m in
   let hds_plan = Prefix_runtime.Hds_policy.plan_of_trace stats prof in
   let halo_plan = Prefix_halo.Halo.plan_of_trace stats prof in
-  let run name policy =
-    let o = Executor.run ~policy long in
-    Printf.printf "%-14s %+6.2f%% vs baseline\n" name (delta o.metrics)
-  in
-  run "HDS [8]" (fun heap -> Prefix_runtime.Hds_policy.policy costs heap hds_plan Policy.no_classification);
-  run "HALO" (fun heap -> Prefix_runtime.Halo_policy.policy costs heap halo_plan Policy.no_classification);
-  run "PreFix" (fun heap -> Prefix_runtime.Prefix_policy.policy costs heap plan Policy.no_classification)
+  let cls = Policy.no_classification in
+  match
+    Executor.run_stream_many
+      ~policies:
+        [ Policy.baseline costs;
+          (fun heap -> Prefix_runtime.Hds_policy.policy costs heap hds_plan cls);
+          (fun heap -> Prefix_runtime.Halo_policy.policy costs heap halo_plan cls);
+          (fun heap -> Prefix_runtime.Prefix_policy.policy costs heap plan cls) ]
+      (Workload.generate_stream wl ~scale:Workload.Long ~seed:8 ())
+  with
+  | base :: optimized ->
+    List.iter2
+      (fun name (o : Executor.outcome) ->
+        Printf.printf "%-14s %+6.2f%% vs baseline\n" name
+          (Prefix_runtime.Metrics.time_pct_change ~baseline:base.metrics o.metrics))
+      [ "HDS [8]"; "HALO"; "PreFix" ] optimized
+  | [] -> assert false

@@ -57,14 +57,19 @@ let () =
   let plan = Pipeline.plan ~variant:Plan.HdsHot trace in
   Format.printf "%a@." Plan.pp_summary plan;
 
-  (* 3. Replay under baseline and PreFix. *)
-  let base = Executor.run_baseline trace in
-  let opt =
-    Executor.run
-      ~policy:(fun heap ->
-        Prefix_policy.policy Executor.default_config.costs heap plan
-          Policy.no_classification)
-      trace
+  (* 3. Replay under baseline and PreFix, both in one pass over the
+     trace. *)
+  let costs = Executor.default_config.costs in
+  let base, opt =
+    match
+      Executor.run_stream_many
+        ~policies:
+          [ Policy.baseline costs;
+            (fun heap -> Prefix_policy.policy costs heap plan Policy.no_classification) ]
+        (Prefix_trace.Stream.of_trace trace)
+    with
+    | [ base; opt ] -> (base, opt)
+    | _ -> assert false
   in
   Printf.printf "baseline: %.0f cycles (L1 miss %.2f%%)\n"
     base.metrics.cycles.total_cycles

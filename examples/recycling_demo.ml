@@ -48,13 +48,17 @@ let () =
   List.iter
     (fun (label, group) ->
       let long = program ~rounds:600 ~group () in
-      let base = Executor.run_baseline long in
-      let opt =
-        Executor.run
-          ~policy:(fun heap ->
-            Prefix_policy.policy Executor.default_config.costs heap plan
-              Policy.no_classification)
-          long
+      let costs = Executor.default_config.costs in
+      let base, opt =
+        match
+          Executor.run_stream_many
+            ~policies:
+              [ Policy.baseline costs;
+                (fun heap -> Prefix_policy.policy costs heap plan Policy.no_classification) ]
+            (Prefix_trace.Stream.of_trace long)
+        with
+        | [ base; opt ] -> (base, opt)
+        | _ -> assert false
       in
       Printf.printf
         "%s: time %+.2f%%, malloc/free calls avoided %s, peak %s -> %s B\n" label

@@ -14,6 +14,10 @@ module Pipeline = Prefix_core.Pipeline
 module Plan = Prefix_core.Plan
 module Counters = Prefix_core.Counters
 module Layout = Prefix_core.Layout
+module Executor = Prefix_runtime.Executor
+module Metrics = Prefix_runtime.Metrics
+module Policy = Prefix_runtime.Policy
+module Prefix_policy = Prefix_runtime.Prefix_policy
 
 let detector_comparison () =
   let t =
@@ -75,37 +79,41 @@ let counter_sharing () =
 let recycling_sweep () =
   (* Sweep the recycling headroom factor on leela: fewer slots than the
      peak simultaneous liveness forces fallbacks to malloc; more slots
-     waste region space for no benefit. *)
+     waste region space for no benefit.  The six plans replay in one
+     fan-out. *)
   let r = Harness.find "leela" in
   let costs = Harness.exec_config.costs in
   let t =
     T.create ~headers:[ "headroom"; "slots"; "calls avoided"; "time vs baseline %" ]
   in
-  List.iter
-    (fun headroom ->
-      let config =
-        { Harness.pipeline_config with
-          recycle_config = { Harness.pipeline_config.recycle_config with headroom } }
-      in
-      let plan =
-        Pipeline.plan_with_stats ~config ~variant:Plan.Hot r.profiling_stats
-          r.profiling_trace
-      in
-      let outcome =
-        Prefix_runtime.Executor.run_packed ~config:Harness.exec_config
-          ~policy:(fun heap ->
-            Prefix_runtime.Prefix_policy.policy costs heap plan
-              Prefix_runtime.Policy.no_classification)
-          (Harness.long_packed r)
-      in
+  let sweep =
+    List.map
+      (fun headroom ->
+        let config =
+          { Harness.pipeline_config with
+            recycle_config = { Harness.pipeline_config.recycle_config with headroom } }
+        in
+        ( headroom,
+          Pipeline.plan_with_stats ~config ~variant:Plan.Hot r.profiling_stats
+            r.profiling_trace ))
+      [ 0.25; 0.5; 1.0; 1.25; 2.0; 4.0 ]
+  in
+  let outcomes =
+    Executor.run_stream_many ~config:Harness.exec_config
+      ~policies:
+        (List.map
+           (fun (_, plan) heap -> Prefix_policy.policy costs heap plan Policy.no_classification)
+           sweep)
+      (Harness.long_stream r)
+  in
+  List.iter2
+    (fun (headroom, (plan : Plan.t)) (outcome : Executor.outcome) ->
       T.add_row t
         [ T.fmt_f headroom;
           string_of_int (List.length plan.slots);
           T.fmt_int outcome.metrics.calls_avoided;
-          T.fmt_pct
-            (Prefix_runtime.Metrics.time_pct_change ~baseline:r.baseline.metrics
-               outcome.metrics) ])
-    [ 0.25; 0.5; 1.0; 1.25; 2.0; 4.0 ];
+          T.fmt_pct (Metrics.time_pct_change ~baseline:r.baseline.metrics outcome.metrics) ])
+    sweep outcomes;
   "Ablation: recycling slot headroom sweep (leela)\n" ^ T.render t
 
 let merge_rule () =
@@ -138,8 +146,6 @@ let merge_rule () =
    precision. *)
 let hybrid_context () =
   let module B = Prefix_workloads.Builder in
-  let module Executor = Prefix_runtime.Executor in
-  let module Policy = Prefix_runtime.Policy in
   let costs = Harness.exec_config.costs in
   let trace ~interleave () =
     let b = B.create ~seed:9 () in
@@ -169,24 +175,29 @@ let hybrid_context () =
     (fun (o : Prefix_trace.Trace_stats.obj_info) -> Hashtbl.replace hot_set o.obj ())
     (Prefix_trace.Trace_stats.hot_objects stats);
   let cls = { Policy.is_hot = Hashtbl.mem hot_set; is_hds = (fun _ -> false) } in
-  let capture config =
-    let plan = Pipeline.plan_with_stats ~config ~variant:Plan.Hot
-        (Prefix_trace.Trace_stats.analyze prof) prof in
-    let o =
-      Executor.run ~config:Harness.exec_config
-        ~policy:(fun heap -> Prefix_runtime.Prefix_policy.policy costs heap plan cls)
-        long
+  let policy config =
+    let plan =
+      Pipeline.plan_with_stats ~config ~variant:Plan.Hot
+        (Prefix_trace.Trace_stats.analyze prof) prof
     in
-    (o.metrics.region_hot_objects, o.metrics.region_objects)
+    fun heap -> Prefix_policy.policy costs heap plan cls
   in
-  let ph, pa = capture Harness.pipeline_config in
-  let hh, ha = capture { Harness.pipeline_config with hybrid_context = true } in
-  Printf.sprintf
-    "Ablation: hybrid context (object ids + calling context, §2.2.2)\n\
-     non-deterministic interleaving, 3 hot objects on one of two call paths:\n\
-     id-only capture:  %d hot of %d placed (profiled ids land on the wrong path's objects)\n\
-     hybrid capture:   %d hot of %d placed (counter gated on the hot path's signature)\n"
-    ph pa hh ha
+  match
+    Executor.run_stream_many ~config:Harness.exec_config
+      ~policies:
+        [ policy Harness.pipeline_config;
+          policy { Harness.pipeline_config with hybrid_context = true } ]
+      (Prefix_trace.Stream.of_trace long)
+  with
+  | [ id_only; hybrid ] ->
+    Printf.sprintf
+      "Ablation: hybrid context (object ids + calling context, §2.2.2)\n\
+       non-deterministic interleaving, 3 hot objects on one of two call paths:\n\
+       id-only capture:  %d hot of %d placed (profiled ids land on the wrong path's objects)\n\
+       hybrid capture:   %d hot of %d placed (counter gated on the hot path's signature)\n"
+      id_only.metrics.region_hot_objects id_only.metrics.region_objects
+      hybrid.metrics.region_hot_objects hybrid.metrics.region_objects
+  | _ -> assert false
 
 (* Cache-geometry sensitivity: replay ft under the scaled hierarchy used
    by every experiment and under the paper's full-size geometry.  The
@@ -201,24 +212,20 @@ let geometry_sensitivity () =
   let t = T.create ~headers:[ "hierarchy"; "baseline Mcycles"; "PreFix:Hot delta %" ] in
   List.iter
     (fun (label, hierarchy) ->
-      let config = { Harness.exec_config with hierarchy } in
-      let base =
-        Prefix_runtime.Executor.run_packed ~config
-          ~policy:(fun heap -> Prefix_runtime.Policy.baseline costs heap)
-          (Harness.long_packed r)
-      in
-      let opt =
-        Prefix_runtime.Executor.run_packed ~config
-          ~policy:(fun heap ->
-            Prefix_runtime.Prefix_policy.policy costs heap plan
-              Prefix_runtime.Policy.no_classification)
-          (Harness.long_packed r)
-      in
-      T.add_row t
-        [ label;
-          T.fmt_f (base.metrics.cycles.total_cycles /. 1e6);
-          T.fmt_pct
-            (Prefix_runtime.Metrics.time_pct_change ~baseline:base.metrics opt.metrics) ])
+      match
+        Executor.run_stream_many
+          ~config:{ Harness.exec_config with hierarchy }
+          ~policies:
+            [ Policy.baseline costs;
+              (fun heap -> Prefix_policy.policy costs heap plan Policy.no_classification) ]
+          (Harness.long_stream r)
+      with
+      | [ base; opt ] ->
+        T.add_row t
+          [ label;
+            T.fmt_f (base.metrics.cycles.total_cycles /. 1e6);
+            T.fmt_pct (Metrics.time_pct_change ~baseline:base.metrics opt.metrics) ]
+      | _ -> assert false)
     [ ("scaled (default)", Prefix_cachesim.Hierarchy.scaled_config);
       ("paper geometry", Prefix_cachesim.Hierarchy.paper_config) ];
   "Ablation: cache-geometry sensitivity (ft) — why the hierarchy is scaled\n"

@@ -10,6 +10,7 @@ module Pipeline = Prefix_core.Pipeline
 module Trace_stats = Prefix_trace.Trace_stats
 module T = Prefix_util.Tablefmt
 module M = Prefix_runtime.Metrics
+module Workload = Prefix_workloads.Workload
 
 let title = "Figure 10: multithreaded speedups (positive = faster than baseline)"
 
@@ -28,22 +29,15 @@ let series name =
   let costs = Harness.exec_config.costs in
   List.map
     (fun k ->
-      let trace = wl.generate ~threads:k ~scale:Long ~seed:(Harness.seed + 1) () in
-      let base =
-        Executor.run ~config:Harness.exec_config
-          ~policy:(fun heap -> Policy.baseline costs heap)
-          trace
-      in
-      let opt =
-        Executor.run ~config:Harness.exec_config
-          ~policy:(fun heap ->
-            Prefix_policy.policy costs heap plan Policy.no_classification)
-          trace
-      in
-      let impr =
-        -.M.time_pct_change ~baseline:base.metrics opt.metrics
-      in
-      (k, impr))
+      match
+        Executor.run_stream_many ~config:Harness.exec_config
+          ~policies:
+            [ Policy.baseline costs;
+              (fun heap -> Prefix_policy.policy costs heap plan Policy.no_classification) ]
+          (Workload.generate_stream wl ~threads:k ~scale:Long ~seed:(Harness.seed + 1) ())
+      with
+      | [ base; opt ] -> (k, -.M.time_pct_change ~baseline:base.metrics opt.metrics)
+      | _ -> assert false)
     thread_counts
 
 let report () =

@@ -20,22 +20,18 @@ let report () =
   let r = Harness.find benchmark in
   let pred obj = Hashtbl.mem r.long_hot_set obj in
   let costs = Harness.exec_config.costs in
-  let base =
-    Executor.run_packed ~config:Harness.exec_config ~heatmap_objs:pred
-      ~policy:(fun heap -> Policy.baseline costs heap)
-      (Harness.long_packed r)
-  in
   let best_plan = Option.get r.prefix_hot.plan in
   let cls = Policy.no_classification in
-  let opt =
-    Executor.run_packed ~config:Harness.exec_config ~heatmap_objs:pred
-      ~policy:(fun heap -> Prefix_policy.policy costs heap best_plan cls)
-      (Harness.long_packed r)
+  let outcomes =
+    Executor.run_stream_many ~config:Harness.exec_config ~heatmap_objs:pred
+      ~policies:
+        [ Policy.baseline costs; (fun heap -> Prefix_policy.policy costs heap best_plan cls) ]
+      (Harness.long_stream r)
   in
   let buf = Buffer.create 4096 in
   Buffer.add_string buf (title ^ "\n");
-  (match (base.heatmap, opt.heatmap) with
-  | Some hb, Some ho ->
+  (match outcomes with
+  | [ { heatmap = Some hb; _ }; { heatmap = Some ho; _ } ] ->
     Buffer.add_string buf "--- baseline ---\n";
     Buffer.add_string buf (Heatmap.render hb);
     Buffer.add_string buf "--- PreFix optimized ---\n";

@@ -9,9 +9,13 @@ module T = Prefix_util.Tablefmt
 module M = Prefix_runtime.Metrics
 module Executor = Prefix_runtime.Executor
 module Policy = Prefix_runtime.Policy
+module Prefix_policy = Prefix_runtime.Prefix_policy
+module Detector = Prefix_hds.Detector
 module Pipeline = Prefix_core.Pipeline
 module Plan = Prefix_core.Plan
 module Trace = Prefix_trace.Trace
+module Packed = Prefix_trace.Packed
+module Stream = Prefix_trace.Stream
 module Trace_stats = Prefix_trace.Trace_stats
 module Workload = Prefix_workloads.Workload
 
@@ -28,46 +32,67 @@ let same_trace a b =
   let rec from i = i = n || (Trace.get a i = Trace.get b i && from (i + 1)) in
   n = Trace.length b && from 0
 
-(* The best-PreFix delta at [seed], with the two traces it was measured
-   on. *)
+(* An MD5 chain over a stream's events, segment by segment: two streams
+   cut into the same segments digest equal exactly when (up to MD5
+   collisions) their events are equal. *)
+let stream_digest stream =
+  let d = ref "" in
+  Stream.iter_segments stream (fun ~base:_ (seg : Packed.t) ->
+      let col a = Array.sub a 0 seg.len in
+      d :=
+        Digest.string
+          (Marshal.to_string
+             (!d, col seg.tag, col seg.obj, col seg.fa, col seg.fb, col seg.fc, col seg.thread)
+             []));
+  !d
+
+(* The best-PreFix delta at [seed], with the profiling trace and a
+   digest of the long stream it was measured on.  The baseline and the
+   three PreFix variants, planned from one detection, replay in one
+   fan-out over the generator; the digest re-runs the generator only
+   when forced. *)
 let delta_for name seed =
   let wl = Prefix_workloads.Registry.find name in
   let prof = wl.generate ~scale:Workload.Profiling ~seed () in
-  let long = wl.generate ~scale:Workload.Long ~seed:(seed + 1) () in
+  let long () = Workload.generate_stream wl ~scale:Workload.Long ~seed:(seed + 1) () in
   let stats = Trace_stats.analyze prof in
-  let costs = Harness.exec_config.costs in
-  let base = Executor.run ~config:Harness.exec_config
-      ~policy:(fun heap -> Policy.baseline costs heap) long in
-  let best =
-    List.fold_left
-      (fun acc variant ->
-        let plan =
-          Pipeline.plan_with_stats ~config:Harness.pipeline_config ~variant stats prof
-        in
-        let o =
-          Executor.run ~config:Harness.exec_config
-            ~policy:(fun heap ->
-              Prefix_runtime.Prefix_policy.policy costs heap plan
-                Policy.no_classification)
-            long
-        in
-        Float.min acc (M.time_pct_change ~baseline:base.metrics o.metrics))
-      infinity
-      [ Plan.Hot; Plan.Hds; Plan.HdsHot ]
+  let config = Harness.pipeline_config in
+  let ohds =
+    Detector.detect_with_stats ~config:config.detector ~method_:config.method_ stats prof
   in
-  (best, prof, long)
+  let costs = Harness.exec_config.costs in
+  let prefix variant =
+    let plan = Pipeline.plan_with_stats ~config ~ohds ~variant stats prof in
+    fun heap -> Prefix_policy.policy costs heap plan Policy.no_classification
+  in
+  match
+    Executor.run_stream_many ~config:Harness.exec_config
+      ~policies:(Policy.baseline costs :: List.map prefix [ Plan.Hot; Plan.Hds; Plan.HdsHot ])
+      (long ())
+  with
+  | base :: variants ->
+    let best =
+      List.fold_left
+        (fun acc (o : Executor.outcome) ->
+          Float.min acc (M.time_pct_change ~baseline:base.metrics o.metrics))
+        infinity variants
+    in
+    (best, prof, lazy (stream_digest (long ())))
+  | [] -> assert false
 
 (* One model's row: its three seeds run in one task, so the seed-free
-   comparison holds only that model's first traces. *)
+   comparison holds only that model's first profiling trace and long
+   digest. *)
 let row name =
   (* A model is seed-free when every seed reproduces the first seed's
-     traces; only one seed's traces are kept to compare. *)
+     traces; the long streams are compared by digest, and only when
+     the profiling traces already agree. *)
   let d0, prof0, long0 = delta_for name (List.hd seeds) in
   let rest =
     List.map
       (fun seed ->
         let d, prof, long = delta_for name seed in
-        (d, same_trace prof prof0 && same_trace long long0))
+        (d, same_trace prof prof0 && Lazy.force long = Lazy.force long0))
       (List.tl seeds)
   in
   let ds = d0 :: List.map fst rest in

@@ -6,7 +6,6 @@
 
 module T = Prefix_util.Tablefmt
 module M = Prefix_runtime.Metrics
-module Trace_stats = Prefix_trace.Trace_stats
 
 let title = "Table 5: PreFix capture, profiling vs long run (measured | paper)"
 
@@ -22,25 +21,15 @@ let report () =
       let best, _ = Harness.best_prefix r in
       let plan = Option.get best.plan in
       let p = Paper_data.find_table5 r.wl.name in
-      (* Long-run HA: accesses to objects the policy actually captured.
-         We approximate with the region's hot-object share of long-run
-         accesses via the captured counts and stats. *)
+      (* Long-run HA: the hot set's share of long-run heap accesses,
+         scaled by the fraction of hot objects the policy captured. *)
       let m = best.metrics in
-      let long_refs = Trace_stats.total_heap_accesses r.long_stats in
-      (* Heap accesses to captured objects: every captured object is
-         tracked by region accounting; use hot-set share scaled by the
-         captured fraction of hot objects. *)
       let long_hot_total = Hashtbl.length r.long_hot_set in
       let capture_ratio =
         if long_hot_total = 0 then 0.
         else float_of_int m.M.region_hot_objects /. float_of_int long_hot_total
       in
-      let hot_share =
-        Trace_stats.heap_access_share r.long_stats
-          (Hashtbl.fold (fun o () acc -> o :: acc) r.long_hot_set [])
-      in
-      let long_ha = 100. *. hot_share *. min 1.0 capture_ratio in
-      ignore long_refs;
+      let long_ha = 100. *. r.long_hot_share *. min 1.0 capture_ratio in
       T.add_row t
         [ r.wl.name;
           T.fmt_f (100. *. plan.profile.heap_access_share);

@@ -24,7 +24,7 @@ type result = {
   long_source : long_source;
   long_events : int;
   profiling_stats : Trace_stats.t;
-  long_stats : Trace_stats.t;
+  long_hot_share : float;
   baseline : policy_run;
   hds : policy_run;
   halo : policy_run;
@@ -36,10 +36,15 @@ type result = {
   long_hds_set : (int, unit) Hashtbl.t;
 }
 
-let long_packed r =
-  match r.long_source with
-  | Materialized p -> p
-  | Streamed mk -> Prefix_trace.Stream.to_packed (mk ())
+(* A materialized evaluation trace replays as one segment: the stream
+   emits the packed trace itself, so every pass reads the same arrays
+   with no copy. *)
+let stream_of_source = function
+  | Materialized p ->
+    Prefix_trace.Stream.of_packed ~segment_events:(max 1 (Prefix_trace.Packed.length p)) p
+  | Streamed mk -> mk ()
+
+let long_stream r = stream_of_source r.long_source
 
 module Span = Prefix_obs.Span
 module Log = (val Logs.src_log Prefix_obs.Log.harness)
@@ -146,11 +151,18 @@ let evaluate (wl : Workload.t) ~profiling_trace ~long_source ~long_stats ~long_h
   (* Pipeline.analyze rather than Trace_stats.analyze so the pass
      appears as a "trace-analysis" span in obs reports. *)
   let profiling_stats = Pipeline.analyze profiling_trace in
-  (* Long-run classification, for pollution and capture accounting. *)
+  (* Long-run classification, for pollution and capture accounting,
+     and the summaries reports read: taken before the replay, so the
+     long-run statistics need not stay live through it. *)
   let long_hot_set = Hashtbl.create 1024 in
   List.iter
     (fun (o : Trace_stats.obj_info) -> Hashtbl.replace long_hot_set o.obj ())
     (Trace_stats.hot_objects ~coverage:pipeline_config.coverage long_stats);
+  let long_events = Trace_stats.trace_length long_stats in
+  let long_hot_share =
+    Trace_stats.heap_access_share long_stats
+      (Hashtbl.fold (fun o () acc -> o :: acc) long_hot_set [])
+  in
   let long_hds_set = Hashtbl.create 1024 in
   List.iter (fun o -> Hashtbl.replace long_hds_set o ()) long_hds;
   let cls =
@@ -181,9 +193,9 @@ let evaluate (wl : Workload.t) ~profiling_trace ~long_source ~long_stats ~long_h
     { wl;
       profiling_trace;
       long_source;
-      long_events = Trace_stats.trace_length long_stats;
+      long_events;
       profiling_stats;
-      long_stats;
+      long_hot_share;
       baseline = run None b;
       hds = run None h;
       halo = run None hl;
@@ -203,7 +215,7 @@ let run_benchmark_spooling (wl : Workload.t) ~spooled_path =
   @@ fun () ->
   Log.info (fun m -> m "%s: generating traces" wl.name);
   let eval_scale = !eval_scale in
-  let profiling_trace, long_source, long_stream =
+  let profiling_trace, long_source =
     if !streaming then begin
       (* Streamed evaluation: the long run is never materialized.  Each
          consumer below re-runs the deterministic generator, holding one
@@ -233,7 +245,7 @@ let run_benchmark_spooling (wl : Workload.t) ~spooled_path =
           spooled_path := Some path;
           fun () -> Prefix_trace.Stream.of_binary_file ?segment_events path
       in
-      (profiling_trace, Streamed mk, mk)
+      (profiling_trace, Streamed mk)
     end
     else begin
       let profiling_trace, long_trace =
@@ -242,22 +254,15 @@ let run_benchmark_spooling (wl : Workload.t) ~spooled_path =
               wl.generate ~scale:eval_scale ~seed:(seed + 1) () ))
       in
       (* Pack once; the packed form is read-only and shared by analysis
-         and all seven policy replays below (and by any pooled experiment
-         that replays this benchmark's long trace again). *)
-      let long_packed =
-        Span.with_ ~cat:"harness" "pack-traces" (fun () ->
-            Prefix_trace.Packed.of_trace long_trace)
-      in
-      (* One segment: the stream emits the packed trace itself, so every
-         pass reads the same arrays with no copy. *)
-      let long_stream () =
-        Prefix_trace.Stream.of_packed
-          ~segment_events:(max 1 (Prefix_trace.Packed.length long_packed))
-          long_packed
-      in
-      (profiling_trace, Materialized long_packed, long_stream)
+         and all seven policy replays below (and by any experiment that
+         replays this benchmark's long trace again). *)
+      ( profiling_trace,
+        Materialized
+          (Span.with_ ~cat:"harness" "pack-traces" (fun () ->
+               Prefix_trace.Packed.of_trace long_trace)) )
     end
   in
+  let long_stream () = stream_of_source long_source in
   let long_stats = Pipeline.analyze_stream (long_stream ()) in
   Log.info (fun m -> m "%s: detecting long-run streams" wl.name);
   let long_hds =

@@ -28,7 +28,9 @@ type result = {
   long_source : long_source;
   long_events : int;  (** length of the evaluation ("long") trace *)
   profiling_stats : Prefix_trace.Trace_stats.t;
-  long_stats : Prefix_trace.Trace_stats.t;
+  long_hot_share : float;
+      (** fraction of the long run's heap accesses that go to its hot
+          objects ([long_hot_set]); Table 5's long-run HA summary *)
   baseline : policy_run;
   hds : policy_run;
   halo : policy_run;
@@ -40,10 +42,12 @@ type result = {
   long_hds_set : (int, unit) Hashtbl.t;  (** long-run hot objects in streams *)
 }
 
-val long_packed : result -> Prefix_trace.Packed.t
-(** The evaluation trace, materializing it first when the result was
-    produced in streaming mode (experiments that need random access pay
-    the memory cost only then). *)
+val long_stream : result -> Prefix_trace.Stream.t
+(** The evaluation trace as a stream, for experiments that replay it
+    again under other policies: one segment holding the packed trace
+    itself for a materialized result, the source's own (re-generated or
+    re-decoded) stream for a streamed one.  [run_benchmark] replays
+    through the same stream. *)
 
 val seed : int
 (** The fixed experiment seed (7). *)
@@ -127,7 +131,8 @@ val evaluate :
   result
 (** The benchmark assembly both runners share, given the long run's
     statistics and HDS object ids: analyze the profile, classify the
-    long run (hot set, HDS set), build the six plans, hand the seven
+    long run (hot set, HDS set, the hot set's access share; the
+    statistics are not kept), build the six plans, hand the seven
     policies in report order to [replay] — one plain fan-out pass in
     {!run_benchmark}, a checkpointed one in {!Durable.run_benchmark} —
     and assemble the result from the seven outcomes it returns, in the

@@ -1,4 +1,6 @@
 module Trace = Prefix_trace.Trace
+module Packed = Prefix_trace.Packed
+module Stream = Prefix_trace.Stream
 module Trace_stats = Prefix_trace.Trace_stats
 module Sanitizer = Prefix_trace.Sanitizer
 module Workload = Prefix_workloads.Workload
@@ -95,7 +97,7 @@ let profile_seed = 7
 let bench_ctx ?(policies = all_policies) name =
   let wl = Registry.find name in
   let trace = wl.generate ~scale:Workload.Profiling ~seed:profile_seed () in
-  let packed = Prefix_trace.Packed.of_trace trace in
+  let packed = Packed.of_trace trace in
   let stats = Trace_stats.analyze_packed packed in
   let costs = Executor.default_config.costs in
   let mk = function
@@ -115,12 +117,13 @@ let bench_ctx ?(policies = all_policies) name =
       fun mode _cap heap -> Prefix_policy.policy ~mode costs heap plan Policy.no_classification
   in
   let pols = List.map (fun p -> (p, mk p)) policies in
+  let clean =
+    Executor.run_stream_many
+      ~policies:(List.map (fun (_, mk) -> mk Policy.Strict None) pols)
+      (Stream.of_packed packed)
+  in
   let clean_refs =
-    List.map
-      (fun (p, mk) ->
-        let o = Executor.run_packed ~policy:(mk Policy.Strict None) packed in
-        (p, o.Executor.metrics.mem_refs))
-      pols
+    List.map2 (fun (p, _) (o : Executor.outcome) -> (p, o.metrics.mem_refs)) pols clean
   in
   { wl; trace; pols; clean_refs }
 
@@ -138,8 +141,11 @@ let one_run cfg ctx (pid, mk) kind fault_seed =
       p := Some pol;
       pol
     in
-    match Executor.run ~mode:Policy.Lenient ~policy corrupted with
-    | o ->
+    match
+      Executor.run_stream_many ~mode:Policy.Lenient ~policies:[ policy ]
+        (Stream.of_trace corrupted)
+    with
+    | [ o ] ->
       let degraded, region_peak =
         match !p with
         | Some pol ->
@@ -151,13 +157,16 @@ let one_run cfg ctx (pid, mk) kind fault_seed =
         degraded,
         region_peak,
         Some o.Executor.metrics.mem_refs )
+    | _ -> assert false
     | exception e -> (Some (Printexc.to_string e), 0, 0, 0, None)
   in
   (* Leg 2: sanitize, then replay the repaired trace strictly — the
      repair must produce a trace the fail-fast path accepts. *)
   let repaired_exn =
     let repaired, _ = Sanitizer.sanitize corrupted in
-    match Executor.run ~mode:Policy.Strict ~policy:(mk Policy.Strict None) repaired with
+    match
+      Executor.run_stream_many ~policies:[ mk Policy.Strict None ] (Stream.of_trace repaired)
+    with
     | _ -> None
     | exception e -> Some (Printexc.to_string e)
   in

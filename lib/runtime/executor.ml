@@ -289,11 +289,11 @@ let ot_remove t obj =
    survive a segment boundary (heap, policy, caches, object table,
    thread memo, counters) lives in the session, and [replay_segment]
    advances it by one packed segment whose first event has global index
-   [base].  [run_packed] is then a session over a single segment and
-   [run_stream_many] the same sessions folded over
-   {!Stream.iter_segments} — by construction the two observe identical
-   event sequences and global indices, which is what makes streamed
-   outcomes exactly equal to materialized ones. *)
+   [base].  [run_stream_many] folds one session per policy over
+   {!Stream.iter_segments}, so every segmentation of a trace — one
+   segment or many — feeds each session the same event sequence and
+   global indices, which is what makes outcomes independent of the
+   segment size. *)
 
 type session = {
   ss_config : config;
@@ -672,19 +672,6 @@ let session_deserialize s =
   | exception (Failure msg | Invalid_argument msg) ->
     Error ("session snapshot does not match this binary: " ^ msg)
 
-let run_packed ?(config = default_config) ?(mode = Policy.Strict) ?heatmap_objs
-    ?(attribute = false) ~policy packed =
-  let events = Packed.length packed in
-  let heap = Allocator.create () in
-  let p = policy heap in
-  Span.with_ ~cat:"executor"
-    ~args:[ ("policy", p.Policy.name); ("events", string_of_int events) ]
-    ("replay:" ^ p.Policy.name)
-  @@ fun () ->
-  let st = session_create ~config ~mode ~heatmap_objs ~attribute ~heap ~p in
-  replay_segment st ~base:0 packed;
-  session_finish st
-
 let sessions_create ?(config = default_config) ?(mode = Policy.Strict) ?heatmap_objs
     ?(attribute = false) policies =
   List.map
@@ -718,8 +705,8 @@ let run_stream_many ?config ?mode ?heatmap_objs ?attribute ~policies stream =
    The seed implementation, kept verbatim as the differential oracle:
    the tests and the benchmark's report check replay traces through
    both paths and require identical metrics and recovery counters.
-   Functional changes belong in [run_packed]; this loop only changes
-   when the replay semantics themselves do. *)
+   Functional changes belong in [replay_segment]; this loop only
+   changes when the replay semantics themselves do. *)
 
 let run_boxed ?(config = default_config) ?(mode = Policy.Strict) ?heatmap_objs
     ?(attribute = false) ~policy trace =
@@ -850,12 +837,3 @@ let run_boxed ?(config = default_config) ?(mode = Policy.Strict) ?heatmap_objs
     ~events:(Trace.length trace)
     ~instructions_base:(Trace.total_instructions trace)
     ~mem_refs:!mem_refs ~heatmap ~attribution ~recovery
-
-let run ?config ?mode ?heatmap_objs ?attribute ~policy trace =
-  run_packed ?config ?mode ?heatmap_objs ?attribute ~policy (Packed.of_trace trace)
-
-let run_baseline ?config ?mode trace =
-  let costs =
-    match config with Some c -> c.costs | None -> default_config.costs
-  in
-  run ?config ?mode ~policy:(fun heap -> Policy.baseline costs heap) trace

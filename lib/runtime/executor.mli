@@ -1,6 +1,8 @@
-(** Trace replay: run a workload trace through a policy, feed the
-    resulting address stream into the cache hierarchy, and produce the
-    run's {!Metrics.t}.
+(** Trace replay: run a trace through a set of policies, feed each
+    resulting address stream into its own cache hierarchy, and produce
+    each run's {!Metrics.t}.  {!run_stream_many} is the one way to
+    replay; {!run_boxed} is its test oracle, and the session API lets
+    a caller checkpoint a fan-out between segments.
 
     Multithreaded traces get one private L1 and TLB pair per thread and
     a shared LLC; total cycles are divided by the thread count (a
@@ -44,46 +46,6 @@ type outcome = {
       (** lenient-mode recovery actions taken during the replay *)
 }
 
-val run :
-  ?config:config ->
-  ?mode:Policy.mode ->
-  ?heatmap_objs:(int -> bool) ->
-  ?attribute:bool ->
-  policy:(Prefix_heap.Allocator.t -> Policy.t) ->
-  Prefix_trace.Trace.t ->
-  outcome
-(** [run ~policy trace] creates a fresh simulated heap, instantiates the
-    policy on it, and replays every event.  [heatmap_objs] selects the
-    objects whose accesses feed the Figure 9 heatmap; [attribute] turns
-    on per-site miss attribution (both off by default — they cost
-    memory).
-
-    [mode] defaults to [Strict], which raises [Invalid_argument] on
-    malformed traces (allocation of a live id, access to an unknown id,
-    ...).  [Lenient] never raises on malformed input: every anomaly
-    becomes a counted recovery action (reported in the outcome's
-    [recovery] field and, when observability is on, the
-    [executor.recovered.*] metric counters).
-
-    Equivalent to [run_packed ... (Packed.of_trace trace)] — callers
-    that replay the same trace more than once should pack it themselves
-    and call {!run_packed} directly. *)
-
-val run_packed :
-  ?config:config ->
-  ?mode:Policy.mode ->
-  ?heatmap_objs:(int -> bool) ->
-  ?attribute:bool ->
-  policy:(Prefix_heap.Allocator.t -> Policy.t) ->
-  Prefix_trace.Packed.t ->
-  outcome
-(** The replay fast path: identical semantics, metrics, recovery
-    counters and observability behavior to {!run}, but driven off the
-    struct-of-arrays encoding with an allocation-free dispatch loop, a
-    dense object table in place of the per-event [live] Hashtbl, and a
-    memoized last-thread cache slot.  A packed trace is read-only here
-    and can be shared across policies and worker domains. *)
-
 val run_stream_many :
   ?config:config ->
   ?mode:Policy.mode ->
@@ -92,19 +54,37 @@ val run_stream_many :
   policies:(Prefix_heap.Allocator.t -> Policy.t) list ->
   Prefix_trace.Stream.t ->
   outcome list
-(** Bounded-memory, decode-once replay — the one streamed entry point:
-    one pass over the stream hands each segment to every policy's
-    session in turn before the next segment is decoded, so N policies
-    cost one decode instead of N and a pass holds one segment of trace
-    memory at a time.  All replay state (heap, caches, object table,
-    counters, heatmap, attribution, telemetry cursor keyed on the
-    global event index) carries across segment boundaries, and
-    sessions are fully independent: each outcome — metrics, recovery
-    counters, heatmap, attribution, and strict-mode exceptions — is
-    exactly what {!run_packed} produces for that policy on the
-    materialized trace.  [heatmap_objs] and [attribute] apply to every
-    session.  Outcomes are returned in [policies] order; a one-policy
-    streamed replay is a fan-out of one. *)
+(** The one replay entry point: [run_stream_many ~policies stream]
+    creates a fresh simulated heap per policy, instantiates the policy
+    on it, and replays every event of [stream] under each.  One pass
+    over the stream hands each segment to every policy's session in
+    turn before the next segment is decoded, so N policies cost one
+    decode instead of N and a pass holds one segment of trace memory at
+    a time.  A materialized trace replays as a one-segment stream
+    ({!Prefix_trace.Stream.of_packed} with [segment_events] at least
+    its length), straight off its packed arrays.
+
+    All replay state (heap, caches, object table, counters, heatmap,
+    attribution, telemetry cursor keyed on the global event index)
+    carries across segment boundaries, so an outcome does not depend on
+    how the stream is cut.  Sessions are fully independent: each
+    outcome — metrics, recovery counters, heatmap, attribution — is
+    exactly what a fan-out of that policy alone produces, and equals
+    {!run_boxed}'s.  Outcomes are returned in [policies] order; replay
+    one policy with a fan-out of one.
+
+    [heatmap_objs] selects the objects whose accesses feed the Figure 9
+    heatmap; [attribute] turns on per-site miss attribution (both off by
+    default — they cost memory).  Both apply to every session.
+
+    [mode] defaults to [Strict], which raises [Invalid_argument] on
+    malformed traces (allocation of a live id, access to an unknown id,
+    ...) and so ends the whole fan-out.  [Lenient] never raises on
+    malformed input: every anomaly becomes a counted recovery action
+    (reported in the outcome's [recovery] field and, when observability
+    is on, the [executor.recovered.*] metric counters).
+
+    The pass runs in one ["replay:fanout"] observability span. *)
 
 val run_boxed :
   ?config:config ->
@@ -115,13 +95,10 @@ val run_boxed :
   Prefix_trace.Trace.t ->
   outcome
 (** The original event-by-event reference interpreter over the boxed
-    trace, kept as the differential-testing oracle for {!run_packed}:
-    the tests and the benchmark's report check replay through both and
-    require identical outcomes.  Not used on any hot path. *)
-
-val run_baseline :
-  ?config:config -> ?mode:Policy.mode -> Prefix_trace.Trace.t -> outcome
-(** Shorthand for running the {!Policy.baseline}. *)
+    trace, kept as the differential-testing oracle for
+    {!run_stream_many}: the tests and the benchmark's report check
+    replay traces through both and require identical outcomes.  Not
+    used on any hot path. *)
 
 (** {2 Sessions}
 
@@ -129,10 +106,10 @@ val run_baseline :
     simulated heap, policy state (regions, arenas, recycle slots),
     cache/TLB arrays, dense object table, recovery counters,
     heatmap/attribution, telemetry cursor — lives in a [session].
-    {!run_packed} is a session over one segment; {!run_stream_many}
-    folds one per policy over every segment.  Exposing the session lets
-    callers pause a replay at a segment boundary, serialize it, and
-    resume later (the checkpoint machinery of {!Checkpoint}). *)
+    {!run_stream_many} folds one per policy over every segment.
+    Exposing the session lets callers drive that fan-out themselves:
+    pause a replay at a segment boundary, serialize it, and resume
+    later (the checkpoint machinery of {!Checkpoint}). *)
 
 type session
 

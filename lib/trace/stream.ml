@@ -127,5 +127,3 @@ let to_trace t =
         Trace.add trace (Packed.get seg i)
       done);
   trace
-
-let to_packed t = Packed.of_trace (to_trace t)

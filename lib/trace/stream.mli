@@ -63,8 +63,9 @@ val to_columnar_file : ?frame_events:int -> t -> string -> unit
     segment (atomic write).  [of_binary_file] on the result replays
     the same segments. *)
 
-(** {1 Sinks (materialize — for tests and small traces)} *)
+(** {1 Sinks} *)
 
 val to_trace : t -> Trace.t
-
-val to_packed : t -> Packed.t
+(** Materialize the stream as a boxed trace — for tests, small traces
+    and the boxed replay oracle.  Replays need no sink: they consume
+    the stream itself. *)

@@ -288,35 +288,43 @@ let test_intervals_incarnations () =
 (* ---- footprint invariants of the placement policies ---- *)
 
 (* Replays [trace] under baseline, the Block policy, and PreFix:HDS+Hot
-   planned from [trace] with modulo slots and with interval slots.
-   Returns the four replays' memory references and the two PreFix
-   replays' recycling evictions. *)
+   planned from [trace] with modulo slots and with interval slots, in
+   one fan-out.  Returns the four replays' memory references and the
+   two PreFix replays' recycling evictions. *)
 let slot_mode_replays trace =
   let costs = Executor.default_config.costs in
   let cls = Policy.no_classification in
   let packed = Prefix_trace.Packed.of_trace trace in
   let stats = Prefix_trace.Trace_stats.analyze_packed packed in
-  let replay mk =
-    let p = ref None in
-    let policy heap =
-      let pol = mk heap in
-      p := Some pol;
-      pol
-    in
-    let o = Executor.run_packed ~policy packed in
-    (o.metrics.mem_refs, (Option.get !p).Policy.stats.recycle_evictions)
-  in
   let prefix slot_mode =
     let config = { Pipeline.default_config with slot_mode } in
     let plan = Pipeline.plan_with_stats ~config ~variant:Prefix_core.Plan.HdsHot stats trace in
-    replay (fun heap -> Prefix_runtime.Prefix_policy.policy costs heap plan cls)
+    fun heap -> Prefix_runtime.Prefix_policy.policy costs heap plan cls
   in
   let block_plan = Block_policy.plan_of_trace trace in
-  let base_refs, _ = replay (Policy.baseline costs) in
-  let block_refs, _ = replay (fun heap -> Block_policy.policy costs heap block_plan cls) in
-  let mod_refs, mod_ev = prefix Pipeline.Modulo in
-  let int_refs, int_ev = prefix Pipeline.Interval in
-  ([ base_refs; block_refs; mod_refs; int_refs ], mod_ev, int_ev)
+  (* Each constructor records its policy, for the recycling evictions. *)
+  let built = ref [] in
+  let recorded mk heap =
+    let pol = mk heap in
+    built := pol :: !built;
+    pol
+  in
+  let outcomes =
+    Executor.run_stream_many
+      ~policies:
+        (List.map recorded
+           [ Policy.baseline costs;
+             (fun heap -> Block_policy.policy costs heap block_plan cls);
+             prefix Pipeline.Modulo;
+             prefix Pipeline.Interval ])
+      (Replay.whole packed)
+  in
+  match List.rev !built with
+  | [ _; _; modulo; interval ] ->
+    ( List.map (fun (o : Executor.outcome) -> o.metrics.mem_refs) outcomes,
+      modulo.Policy.stats.recycle_evictions,
+      interval.Policy.stats.recycle_evictions )
+  | _ -> assert false
 
 (* Placement never changes the memory-reference stream, and interval
    coloring never evicts more than modulo-N does. *)

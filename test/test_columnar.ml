@@ -3,10 +3,10 @@
    - round-trip: packed -> columnar bytes -> packed is the identity,
      for workload traces, injector-corrupted traces (negative values),
      hand-built extremes (min_int/max_int) and qcheck event soup;
-   - replay equivalence: a streamed replay (a fan-out of one) over a
-     spooled columnar file produces the same outcome as
-     [Executor.run_packed] on the original trace — strict, lenient,
-     every injector fault kind, and strict-raise parity;
+   - replay equivalence: a fan-out of one over a spooled columnar file
+     produces the same outcome as one over the original packed trace as
+     a single segment — strict, lenient, every injector fault kind, and
+     strict-raise parity;
    - corruption: the strict reader rejects (never raises on) byte
      flips and truncations; the lenient reader pins the exact lost
      event range; a v2 file is refused;
@@ -141,12 +141,11 @@ let with_columnar_file ?frame_events p k =
 
 let check_stream_same ~what ?mode ?heatmap_objs ?attribute trace =
   let p = Packed.of_trace trace in
-  let packed = Executor.run_packed ?mode ?heatmap_objs ?attribute ~policy:baseline p in
+  let packed = Replay.one ?mode ?heatmap_objs ?attribute ~policy:baseline (Replay.whole p) in
   let streamed =
     with_columnar_file ~frame_events:700 p (fun path ->
-        List.hd
-          (Executor.run_stream_many ?mode ?heatmap_objs ?attribute ~policies:[ baseline ]
-             (Stream.of_binary_file path)))
+        Replay.one ?mode ?heatmap_objs ?attribute ~policy:baseline
+          (Stream.of_binary_file path))
   in
   Alcotest.(check bool) (what ^ ": metrics") true
     (packed.Executor.metrics = streamed.Executor.metrics);
@@ -203,13 +202,10 @@ let prop_stream_strict_raises_same =
         | (o : Executor.outcome) -> Ok o.Executor.metrics
         | exception Invalid_argument m -> Error m
       in
-      let packed = outcome_of (fun () -> Executor.run_packed ~policy:baseline p) in
+      let packed = outcome_of (fun () -> Replay.one ~policy:baseline (Replay.whole p)) in
       let streamed =
         with_columnar_file ~frame_events:64 p (fun path ->
-            outcome_of (fun () ->
-                List.hd
-                  (Executor.run_stream_many ~policies:[ baseline ]
-                     (Stream.of_binary_file path))))
+            outcome_of (fun () -> Replay.one ~policy:baseline (Stream.of_binary_file path)))
       in
       packed = streamed)
 

@@ -73,12 +73,22 @@ let test_report_registry () =
   Alcotest.(check bool) "find" true (R.find "table3" <> None);
   Alcotest.(check bool) "unknown" true (R.find "nope" = None)
 
+module S = Prefix_experiments.Exp_stability
+
+let stability_at jobs =
+  let saved = H.jobs () in
+  H.set_jobs jobs;
+  Fun.protect ~finally:(fun () -> H.set_jobs saved) S.report
+
+(* The stability table at --jobs 1, computed once for the two tests
+   that read it. *)
+let stability = lazy (stability_at 1)
+
 (* The stability table marks a model seed-free when its traces do not
    depend on the seed; mcf's and leela's generators draw no random
    numbers, the other three do.  The table is the same bytes whether
    its models run one after another or across two domains. *)
 let test_stability_seed_free () =
-  let module S = Prefix_experiments.Exp_stability in
   let gen name seed =
     (Prefix_workloads.Registry.find name).generate
       ~scale:Prefix_workloads.Workload.Profiling ~seed ()
@@ -90,12 +100,29 @@ let test_stability_seed_free () =
            (fun seed -> S.same_trace (gen name seed) (gen name (List.hd S.seeds)))
            (List.tl S.seeds)))
     [ ("mcf", true); ("ft", false); ("health", false); ("leela", true); ("analyzer", false) ];
-  let at jobs =
-    let saved = H.jobs () in
-    H.set_jobs jobs;
-    Fun.protect ~finally:(fun () -> H.set_jobs saved) S.report
+  (* The long streams are compared by digest, which tells the same
+     models apart. *)
+  let digest name seed =
+    S.stream_digest
+      (Prefix_workloads.Workload.generate_stream
+         (Prefix_workloads.Registry.find name)
+         ~scale:Prefix_workloads.Workload.Profiling ~seed ())
   in
-  Alcotest.(check string) "--jobs 2 table" (at 1) (at 2)
+  List.iter
+    (fun (name, seed_free) ->
+      Alcotest.(check bool) (name ^ " digest") seed_free (digest name 8 = digest name 1008))
+    [ ("mcf", true); ("ft", false); ("leela", true) ];
+  Alcotest.(check string) "--jobs 2 table" (Lazy.force stability) (stability_at 2)
+
+(* The four experiments that replay policies beyond the memoized
+   benchmark runs, byte for byte: `prefix experiment stability fig9
+   fig10 ablations`.  Regenerate test/golden_experiments.expected with
+   test/gen_experiments.exe only for a change meant to move them. *)
+let test_experiments_golden () =
+  let expected = In_channel.with_open_bin "golden_experiments.expected" In_channel.input_all in
+  let report id = (Option.get (Prefix_experiments.Report.find id)).run () in
+  Alcotest.(check string) "experiments golden" expected
+    (Lazy.force stability ^ report "fig9" ^ report "fig10" ^ report "ablations")
 
 let suite =
   [ ( "experiments",
@@ -106,4 +133,5 @@ let suite =
         Alcotest.test_case "swissmap recycling" `Slow test_swissmap_recycling_claims;
         Alcotest.test_case "report registry" `Quick test_report_registry;
         Alcotest.test_case "stability marks seed-free models" `Quick
-          test_stability_seed_free ] ) ]
+          test_stability_seed_free;
+        Alcotest.test_case "experiments golden" `Slow test_experiments_golden ] ) ]

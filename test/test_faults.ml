@@ -119,7 +119,7 @@ let test_sanitize_repairs_for_strict_replay () =
       (* repaired trace scans clean, including leak-free *)
       Alcotest.(check int) (what ^ ": rescan")
         0 (Sanitizer.total (Sanitizer.scan repaired));
-      match Executor.run_baseline repaired with
+      match Replay.trace ~policy:Replay.baseline repaired with
       | _ -> ()
       | exception e ->
         Alcotest.fail
@@ -232,11 +232,11 @@ let test_lenient_executor_recovers () =
   in
   let t = Trace.of_list events in
   (* strict: first bad event raises *)
-  (match Executor.run_baseline t with
+  (match Replay.trace ~policy:Replay.baseline t with
   | _ -> Alcotest.fail "strict accepted a corrupt trace"
   | exception Invalid_argument _ -> ());
   (* lenient: full replay with per-kind recovery counts *)
-  let o = Executor.run_baseline ~mode:Policy.Lenient t in
+  let o = Replay.trace ~mode:Policy.Lenient ~policy:Replay.baseline t in
   let r = o.Executor.recovery in
   Alcotest.(check int) "unknown accesses" 1 r.unknown_accesses;
   Alcotest.(check int) "unknown frees" 2 r.unknown_frees;
@@ -246,7 +246,7 @@ let test_lenient_executor_recovers () =
 
 let test_lenient_double_alloc () =
   let t = Trace.of_list [ ev_alloc 1 64; ev_access 1 0; ev_alloc 1 32; ev_access 1 8 ] in
-  let o = Executor.run_baseline ~mode:Policy.Lenient t in
+  let o = Replay.trace ~mode:Policy.Lenient ~policy:Replay.baseline t in
   Alcotest.(check int) "double allocs" 1 o.Executor.recovery.double_allocs;
   Alcotest.(check int) "no other recoveries" 1
     (Executor.recovery_total o.Executor.recovery)
@@ -256,7 +256,7 @@ let test_strict_unchanged_recovery_zero () =
   let o = B.alloc b ~site:1 64 in
   B.access b o 0;
   B.free b o;
-  let outcome = Executor.run_baseline (B.trace b) in
+  let outcome = Replay.trace ~policy:Replay.baseline (B.trace b) in
   Alcotest.(check int) "no recoveries" 0
     (Executor.recovery_total outcome.Executor.recovery)
 

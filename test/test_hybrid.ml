@@ -54,7 +54,7 @@ let long_order = [ `B; `B; `A; `A; `B; `A; `B; `A; `B; `A ]
 
 let place_count trace plan =
   let outcome =
-    Executor.run
+    Replay.trace
       ~policy:(fun heap -> Prefix_policy.policy costs heap plan Policy.no_classification)
       trace
   in
@@ -68,7 +68,7 @@ let hot_captured trace plan =
   List.iter (fun (o : Prefix_trace.Trace_stats.obj_info) -> Hashtbl.replace hot_set o.obj ()) hot;
   let cls = { Policy.is_hot = Hashtbl.mem hot_set; is_hds = (fun _ -> false) } in
   let outcome =
-    Executor.run ~policy:(fun heap -> Prefix_policy.policy costs heap plan cls) trace
+    Replay.trace ~policy:(fun heap -> Prefix_policy.policy costs heap plan cls) trace
   in
   outcome.metrics.region_hot_objects
 

@@ -325,7 +325,7 @@ let test_pipeline_and_executor_spans =
       let plan = Prefix_core.Pipeline.plan ~variant:Prefix_core.Plan.HdsHot trace in
       let costs = Prefix_runtime.Executor.default_config.costs in
       let _ =
-        Prefix_runtime.Executor.run
+        Replay.trace
           ~policy:(fun heap ->
             Prefix_runtime.Prefix_policy.policy costs heap plan
               Prefix_runtime.Policy.no_classification)
@@ -336,7 +336,7 @@ let test_pipeline_and_executor_spans =
         (fun stage ->
           Alcotest.(check bool) ("stage span " ^ stage) true (List.mem stage names))
         [ "trace-analysis"; "hot-selection"; "hds-detection"; "reconstitution";
-          "offset-assignment"; "plan"; "pipeline"; "replay:PreFix:HDS+Hot" ];
+          "offset-assignment"; "plan"; "pipeline"; "replay:fanout" ];
       (* the executor also feeds the metrics registry *)
       let snap = Metric.snapshot () in
       check ci "events replayed counted"
@@ -352,7 +352,7 @@ let test_zero_overhead_off () =
   let wl = Prefix_workloads.Registry.find "mcf" in
   let trace = wl.generate ~scale:Profiling ~seed:7 () in
   let _ = Prefix_core.Pipeline.plan ~variant:Prefix_core.Plan.Hot trace in
-  let _ = Prefix_runtime.Executor.run_baseline trace in
+  let _ = Replay.trace ~policy:Replay.baseline trace in
   check ci "no spans when off" 0 (List.length (Span.completed ()));
   let snap = Metric.snapshot () in
   Alcotest.(check bool) "no metric mass when off" true

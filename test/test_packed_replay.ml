@@ -1,14 +1,16 @@
-(* Differential tests: Executor.run_packed vs the boxed reference
-   interpreter (Executor.run_boxed).  The packed fast path must be
-   observationally identical — same Metrics.t (every counter, cycle
-   estimate and rate), same lenient-mode recovery tallies, same
-   heatmaps and attribution — on well-formed workload traces, on
-   injector-corrupted streams of every fault kind, and on arbitrary
-   event soup. *)
+(* Differential tests: the packed replay (Executor.run_stream_many, a
+   fan-out of one over the whole trace as one segment and over small
+   segments) vs the boxed reference interpreter (Executor.run_boxed).
+   The packed fast path must be observationally identical — same
+   Metrics.t (every counter, cycle estimate and rate), same
+   lenient-mode recovery tallies, same heatmaps and attribution — on
+   well-formed workload traces, on injector-corrupted streams of every
+   fault kind, and on arbitrary event soup. *)
 
 module Trace = Prefix_trace.Trace
 module Event = Prefix_trace.Event
 module Packed = Prefix_trace.Packed
+module Stream = Prefix_trace.Stream
 module Executor = Prefix_runtime.Executor
 module Policy = Prefix_runtime.Policy
 module Injector = Prefix_faults.Injector
@@ -21,17 +23,29 @@ let recovery_list (r : Executor.recovery) =
   [ r.double_allocs; r.unknown_accesses; r.unknown_frees; r.unknown_reallocs;
     r.invalid_sizes; r.policy_failures ]
 
+(* Small and prime: the segmented fan-outs cross many boundaries. *)
+let seg = 17
+
+(* The packed trace as one segment, and cut into [seg]-event segments. *)
+let fanout_streams trace =
+  let p = Packed.of_trace trace in
+  [ ("one segment", Replay.whole p); ("segments", Stream.of_packed ~segment_events:seg p) ]
+
 let check_same ~what ?mode ?heatmap_objs ?attribute ?(policy = baseline) trace =
   let boxed = Executor.run_boxed ?mode ?heatmap_objs ?attribute ~policy trace in
-  let packed =
-    Executor.run_packed ?mode ?heatmap_objs ?attribute ~policy (Packed.of_trace trace)
+  let fanouts =
+    List.map
+      (fun (cut, stream) ->
+        let o = Replay.one ?mode ?heatmap_objs ?attribute ~policy stream in
+        Alcotest.(check bool) (what ^ ", " ^ cut ^ ": metrics") true
+          (boxed.Executor.metrics = o.Executor.metrics);
+        Alcotest.(check (list int)) (what ^ ", " ^ cut ^ ": recovery")
+          (recovery_list boxed.Executor.recovery)
+          (recovery_list o.Executor.recovery);
+        o)
+      (fanout_streams trace)
   in
-  Alcotest.(check bool) (what ^ ": metrics") true
-    (boxed.Executor.metrics = packed.Executor.metrics);
-  Alcotest.(check (list int)) (what ^ ": recovery")
-    (recovery_list boxed.Executor.recovery)
-    (recovery_list packed.Executor.recovery);
-  (boxed, packed)
+  (boxed, fanouts)
 
 let workload_trace () =
   let wl = Prefix_workloads.Registry.find "libc" in
@@ -85,7 +99,7 @@ let test_lenient_workload () =
 
 let test_heatmap_attribution () =
   let trace = workload_trace () in
-  let boxed, packed =
+  let boxed, fanouts =
     check_same ~what:"diagnostics" ~heatmap_objs:(fun obj -> obj mod 2 = 0)
       ~attribute:true trace
   in
@@ -95,14 +109,17 @@ let test_heatmap_attribution () =
         (Prefix_cachesim.Heatmap.footprint_bytes hm)
     | None -> "none"
   in
-  Alcotest.(check string) "heatmap" (render_hm boxed.Executor.heatmap)
-    (render_hm packed.Executor.heatmap);
   let render_at = function
     | Some a -> Prefix_runtime.Attribution.render a
     | None -> "none"
   in
-  Alcotest.(check string) "attribution" (render_at boxed.Executor.attribution)
-    (render_at packed.Executor.attribution)
+  List.iter
+    (fun (o : Executor.outcome) ->
+      Alcotest.(check string) "heatmap" (render_hm boxed.Executor.heatmap)
+        (render_hm o.heatmap);
+      Alcotest.(check string) "attribution" (render_at boxed.Executor.attribution)
+        (render_at o.attribution))
+    fanouts
 
 let test_lenient_corrupted_every_kind () =
   let trace = workload_trace () in
@@ -159,7 +176,9 @@ let test_negative_object_ids () =
 
 (* The access loop allocates nothing per event: a trace with twice the
    accesses over the same objects allocates exactly as many minor-heap
-   words (per-event values would be small, hence minor, blocks). *)
+   words (per-event values would be small, hence minor, blocks) — as
+   one segment, and cut into four segments each (segment buffers are
+   large, hence major, blocks). *)
 let test_access_runs_allocation_free () =
   let objs = 8 in
   let packed accesses =
@@ -172,18 +191,20 @@ let test_access_runs_allocation_free () =
     in
     Packed.of_trace (Trace.of_list es)
   in
-  (* 20_000 and 40_000 accesses: the span argument [string_of_int
-     events] has the same length for both. *)
   let short = packed 20_000 and long = packed 40_000 in
-  let words p =
+  let words stream =
     let before = Gc.minor_words () in
-    ignore (Executor.run_packed ~policy:baseline p);
+    ignore (Replay.one ~policy:baseline stream);
     Gc.minor_words () -. before
   in
-  ignore (words short);
-  let w_short = words short in
-  let w_long = words long in
-  Alcotest.(check (float 0.)) "minor words, 20k vs 40k accesses" w_short w_long
+  let quarters p = Stream.of_packed ~segment_events:((Packed.length p + 3) / 4) p in
+  List.iter
+    (fun (cut, stream) ->
+      ignore (words (stream short));
+      let w_short = words (stream short) in
+      let w_long = words (stream long) in
+      Alcotest.(check (float 0.)) ("minor words, 20k vs 40k accesses, " ^ cut) w_short w_long)
+    [ ("one segment", Replay.whole); ("four segments", quarters) ]
 
 (* Arbitrary event soup, replayed leniently: ids collide, sizes go
    non-positive, frees dangle — every anomaly the recovery paths
@@ -218,29 +239,29 @@ let prop_lenient_soup =
     (fun es ->
       let trace = Trace.of_list es in
       let boxed = Executor.run_boxed ~mode:Policy.Lenient ~policy:baseline trace in
-      let packed =
-        Executor.run_packed ~mode:Policy.Lenient ~policy:baseline (Packed.of_trace trace)
-      in
-      boxed.Executor.metrics = packed.Executor.metrics
-      && recovery_list boxed.Executor.recovery = recovery_list packed.Executor.recovery)
+      List.for_all
+        (fun (_, stream) ->
+          let o = Replay.one ~mode:Policy.Lenient ~policy:baseline stream in
+          boxed.Executor.metrics = o.Executor.metrics
+          && recovery_list boxed.Executor.recovery = recovery_list o.Executor.recovery)
+        (fanout_streams trace))
 
 let prop_strict_raises_same =
   QCheck.Test.make ~name:"packed ≡ boxed on strict anomaly detection" ~count:200
     (QCheck.make soup_gen)
     (fun es ->
       let trace = Trace.of_list es in
-      let outcome_of run arg =
-        match run ~policy:baseline arg with
+      let outcome_of run =
+        match run () with
         | (o : Executor.outcome) -> Ok o.Executor.metrics
         | exception Invalid_argument m -> Error m
       in
-      let boxed = outcome_of (fun ~policy t -> Executor.run_boxed ~policy t) trace in
-      let packed =
-        outcome_of (fun ~policy p -> Executor.run_packed ~policy p) (Packed.of_trace trace)
-      in
-      (* Same verdict: either both replay to the same metrics or both
+      let boxed = outcome_of (fun () -> Executor.run_boxed ~policy:baseline trace) in
+      (* Same verdict: either all replay to the same metrics or all
          reject with the same message. *)
-      boxed = packed)
+      List.for_all
+        (fun (_, stream) -> outcome_of (fun () -> Replay.one ~policy:baseline stream) = boxed)
+        (fanout_streams trace))
 
 let suite =
   [ ( "packed-replay",

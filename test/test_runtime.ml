@@ -365,7 +365,7 @@ let toy_trace () =
   B.trace b
 
 let test_executor_baseline_metrics () =
-  let outcome = Executor.run_baseline (toy_trace ()) in
+  let outcome = Replay.trace ~policy:Replay.baseline (toy_trace ()) in
   let m = outcome.metrics in
   Alcotest.(check int) "refs" 10 m.mem_refs;
   Alcotest.(check int) "one malloc" 1 m.malloc_calls;
@@ -382,7 +382,7 @@ let test_executor_rejects_invalid () =
   in
   Alcotest.check_raises "unknown object"
     (Invalid_argument "Executor: access to unknown object 5") (fun () ->
-      ignore (Executor.run_baseline bad))
+      ignore (Replay.trace ~policy:Replay.baseline bad))
 
 let test_executor_multithreaded () =
   let b = B.create ~seed:2 () in
@@ -395,7 +395,7 @@ let test_executor_multithreaded () =
   done;
   B.set_thread b 0;
   B.free b o;
-  let outcome = Executor.run_baseline (B.trace b) in
+  let outcome = Replay.trace ~policy:Replay.baseline (B.trace b) in
   Alcotest.(check int) "four threads seen" 4 outcome.metrics.threads;
   Alcotest.(check int) "all refs counted" 100 outcome.metrics.mem_refs
 
@@ -413,9 +413,9 @@ let test_executor_prefix_end_to_end () =
   done;
   let trace = B.trace b in
   let plan = Pipeline.plan ~variant:Plan.Hot trace in
-  let base = Executor.run_baseline trace in
+  let base = Replay.trace ~policy:Replay.baseline trace in
   let opt =
-    Executor.run
+    Replay.trace
       ~policy:(fun heap -> Prefix_policy.policy costs heap plan Policy.no_classification)
       trace
   in
@@ -425,9 +425,7 @@ let test_executor_prefix_end_to_end () =
 
 let test_executor_heatmap () =
   let outcome =
-    Executor.run ~heatmap_objs:(fun _ -> true)
-      ~policy:(fun heap -> Policy.baseline costs heap)
-      (toy_trace ())
+    Replay.trace ~heatmap_objs:(fun _ -> true) ~policy:Replay.baseline (toy_trace ())
   in
   match outcome.heatmap with
   | Some h -> Alcotest.(check int) "samples" 10 (Prefix_cachesim.Heatmap.samples h)
@@ -475,8 +473,7 @@ let test_attribution () =
   for _ = 1 to 5 do
     List.iter (fun o -> B.access b o 0) hot
   done;
-  let outcome = Executor.run ~attribute:true
-      ~policy:(fun heap -> Policy.baseline costs heap) (B.trace b) in
+  let outcome = Replay.trace ~attribute:true ~policy:Replay.baseline (B.trace b) in
   match outcome.attribution with
   | None -> Alcotest.fail "expected attribution"
   | Some a ->
@@ -496,7 +493,7 @@ let test_attribution_off_by_default () =
   let o = B.alloc b ~site:1 64 in
   B.access b o 0;
   B.free b o;
-  let outcome = Executor.run_baseline (B.trace b) in
+  let outcome = Replay.trace ~policy:Replay.baseline (B.trace b) in
   Alcotest.(check bool) "absent" true (outcome.attribution = None)
 
 let suite =

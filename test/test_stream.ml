@@ -1,9 +1,9 @@
 (* The bounded-memory streaming engine, tested differentially against
    the materialized paths it mirrors:
 
-   - a streamed replay (Executor.run_stream_many, a fan-out of one) ≡
-     Executor.run_packed (strict and lenient, on workload traces,
-     injector-corrupted streams and arbitrary soup);
+   - a fan-out of one over small segments ≡ the same fan-out over the
+     whole packed trace as one segment (strict and lenient, on workload
+     traces, injector-corrupted streams and arbitrary soup);
    - Trace_stats.analyze_stream ≡ Trace_stats.analyze_packed;
    - Detector over a stream ≡ Detector over the materialized trace;
    - Workload.generate_stream ≡ Workload.generate, for all 13 models;
@@ -37,14 +37,10 @@ let recovery_list (r : Executor.recovery) =
 let seg = 61 (* prime, small: every test crosses many segment boundaries *)
 
 let check_same ~what ?mode ?heatmap_objs ?attribute trace =
-  let packed =
-    Executor.run_packed ?mode ?heatmap_objs ?attribute ~policy:baseline
-      (Packed.of_trace trace)
-  in
+  let packed = Replay.trace ?mode ?heatmap_objs ?attribute ~policy:baseline trace in
   let streamed =
-    List.hd
-      (Executor.run_stream_many ?mode ?heatmap_objs ?attribute ~policies:[ baseline ]
-         (Stream.of_trace ~segment_events:seg trace))
+    Replay.one ?mode ?heatmap_objs ?attribute ~policy:baseline
+      (Stream.of_trace ~segment_events:seg trace)
   in
   Alcotest.(check bool) (what ^ ": metrics") true
     (streamed.Executor.metrics = packed.Executor.metrics);
@@ -79,10 +75,9 @@ let test_roundtrips () =
   let via_trace = Stream.to_trace (Stream.of_trace ~segment_events:seg trace) in
   Alcotest.(check bool) "of_trace/to_trace" true
     (Trace.to_list via_trace = Trace.to_list trace);
-  let packed = Packed.of_trace trace in
-  let via_packed = Stream.to_packed (Stream.of_packed ~segment_events:seg packed) in
-  Alcotest.(check bool) "of_packed/to_packed" true
-    (Trace.to_list (Packed.to_trace via_packed) = Trace.to_list trace)
+  let via_packed = Stream.to_trace (Stream.of_packed ~segment_events:seg (Packed.of_trace trace)) in
+  Alcotest.(check bool) "of_packed/to_trace" true
+    (Trace.to_list via_packed = Trace.to_list trace)
 
 (* A trace that fits in one segment is emitted as itself: the
    materialized harness path replays straight off the packed arrays. *)
@@ -176,23 +171,20 @@ let soup_gen =
     pair (list_size (int_range 0 300) ev) (int_range 1 64))
 
 let prop_lenient_soup =
-  QCheck.Test.make ~name:"run_stream ≡ run_packed on arbitrary lenient replays"
+  QCheck.Test.make ~name:"lenient soup: segments ≡ one segment"
     ~count:300 (QCheck.make soup_gen)
     (fun (es, segment_events) ->
       let trace = Trace.of_list es in
-      let packed =
-        Executor.run_packed ~mode:Policy.Lenient ~policy:baseline (Packed.of_trace trace)
-      in
+      let packed = Replay.trace ~mode:Policy.Lenient ~policy:baseline trace in
       let streamed =
-        List.hd
-          (Executor.run_stream_many ~mode:Policy.Lenient ~policies:[ baseline ]
-             (Stream.of_trace ~segment_events trace))
+        Replay.one ~mode:Policy.Lenient ~policy:baseline
+          (Stream.of_trace ~segment_events trace)
       in
       streamed.Executor.metrics = packed.Executor.metrics
       && recovery_list streamed.Executor.recovery = recovery_list packed.Executor.recovery)
 
 let prop_strict_raises_same =
-  QCheck.Test.make ~name:"run_stream ≡ run_packed on strict anomaly detection"
+  QCheck.Test.make ~name:"strict soup: segments ≡ one segment"
     ~count:200 (QCheck.make soup_gen)
     (fun (es, segment_events) ->
       let trace = Trace.of_list es in
@@ -201,14 +193,10 @@ let prop_strict_raises_same =
         | (o : Executor.outcome) -> Ok o.Executor.metrics
         | exception Invalid_argument m -> Error m
       in
-      let packed =
-        outcome_of (fun () -> Executor.run_packed ~policy:baseline (Packed.of_trace trace))
-      in
+      let packed = outcome_of (fun () -> Replay.trace ~policy:baseline trace) in
       let streamed =
         outcome_of (fun () ->
-            List.hd
-              (Executor.run_stream_many ~policies:[ baseline ]
-                 (Stream.of_trace ~segment_events trace)))
+            Replay.one ~policy:baseline (Stream.of_trace ~segment_events trace))
       in
       streamed = packed)
 

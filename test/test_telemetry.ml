@@ -509,9 +509,9 @@ let prop_concurrent_export =
 
 (* ---- executor integration: streamed = materialized timelines ---- *)
 
-(* Event-derived timeline values must be identical between run_packed
-   and a streamed fan-out of one at every event-cadence tick, whatever
-   the segment size.  (Wall-clock poll rows are suppressed via a huge interval;
+(* Event-derived timeline values must be identical between a fan-out
+   of one over the whole packed trace as one segment and over small
+   segments, at every event-cadence tick.  (Wall-clock poll rows are suppressed via a huge interval;
    wall-derived columns like segment throughput are excluded.) *)
 let event_columns =
   [ "executor.live_objects"; "executor.heap_live_bytes"; "executor.cache_hit_rate";
@@ -546,7 +546,7 @@ let test_stream_timeline_matches_packed =
       let costs = Prefix_runtime.Executor.default_config.costs in
       let policy heap = Prefix_runtime.Policy.baseline costs heap in
       let rows_packed =
-        recorder_rows_of (fun () -> Prefix_runtime.Executor.run_packed ~policy packed)
+        recorder_rows_of (fun () -> Replay.one ~policy (Replay.whole packed))
       in
       let rows_streamed =
         recorder_rows_of (fun () ->
